@@ -10,7 +10,8 @@ makes {w_1,w_2,w_3} x B even-chromatic, hence the assembled K_{s,t} too.
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
 outright at small n; the top-level search only reports ``not_found`` with
-that certificate and says ``unknown`` otherwise.
+that certificate and says ``unknown`` otherwise.  One k-subset
+XOR-to-zero search serves both the even covers and that sweep.
 """
 
 from __future__ import annotations
@@ -167,22 +168,62 @@ _EXHAUSTIVE_CAP = 200_000
 _DECISIVE_CAP = 10_000_000
 
 
+def _xor(masks: list[int], idx: tuple[int, ...]) -> int:
+    acc = 0
+    for i in idx:
+        acc ^= masks[i]
+    return acc
+
+
+def _zero_xor_subset(masks: list[int], k: int) -> list[int] | None:
+    """Sorted indices of k masks that XOR to zero, or None if none exist.
+
+    Up to ``_EXHAUSTIVE_CAP`` k-subsets a lexicographic scan returns the
+    first such subset; up to ``_DECISIVE_CAP`` a meet-in-the-middle search
+    splits the indices into halves and matches the XOR signatures of the
+    two parts.  Both are exhaustive, so None proves absence; a larger space
+    raises CapExceeded.
+    """
+    m = len(masks)
+    space = comb(m, k)
+    if space <= _EXHAUSTIVE_CAP:
+        for combo in combinations(range(m), k):
+            acc = 0  # _xor inlined: this is the sweep's inner loop
+            for i in combo:
+                acc ^= masks[i]
+            if not acc:
+                return list(combo)
+        return None
+    if space > _DECISIVE_CAP:
+        raise CapExceeded(f"{space} {k}-subsets exceed {_DECISIVE_CAP}")
+    half = m // 2
+    left, right = range(half), range(half, m)
+    for a in range(max(0, k - len(right)), min(k, half) + 1):
+        sigs: dict[int, tuple[int, ...]] = {}
+        for combo in combinations(left, a):
+            sigs.setdefault(_xor(masks, combo), combo)
+        for combo in combinations(right, k - a):
+            match = sigs.get(_xor(masks, combo))
+            if match is not None:
+                return sorted(match + combo)
+    return None
+
+
 def find_even_cover(
     h: ParityHypergraph, k: int
 ) -> EvenCover | Miss:
     """A set of exactly k distinct hyperedges covering every color evenly.
 
-    Tier 1 pairs up duplicate supports (k even); tier 2 runs a
-    meet-in-the-middle scan over the GF(2) incidence rows filtered to
-    weight k; tier 3 is plain lexicographic exhaustion on small instances.
-    ``not_found`` is only reported when a complete tier ran; beyond budget
-    the result is ``unknown``.
+    Tier 1 pairs up duplicate supports (k even); otherwise the masks'
+    k-subset XOR-to-zero search runs (lexicographic exhaustion, or
+    meet-in-the-middle over the GF(2) incidence rows on larger spaces).
+    ``not_found`` is only reported when that search was exhaustive; beyond
+    its budget the result is ``unknown``.
     """
     if k < 2:
         raise PreconditionFailed("even covers of interest have size >= 2")
-    m = len(h.edges)
     masks = _masks(h)
-    if k <= m and k % 2 == 0:
+    if k % 2 == 0:
         pairs: list[tuple[int, int]] = []
         grouped: dict[int, list[int]] = {}
         for i, msk in enumerate(masks):
@@ -193,44 +234,13 @@ def find_even_cover(
         if len(pairs) >= k // 2:
             idx = [i for pair in pairs[: k // 2] for i in pair]
             return _checked_cover(h, masks, sorted(idx))
-    if k > m:
+    try:
+        found = _zero_xor_subset(masks, k)
+    except CapExceeded:
+        return Miss("unknown", "even-cover")
+    if found is None:
         return Miss("not_found", "even-cover")
-    space = comb(m, k)
-    if space <= _EXHAUSTIVE_CAP:
-        for combo in combinations(range(m), k):
-            acc = 0
-            for i in combo:
-                acc ^= masks[i]
-            if acc == 0:
-                return _checked_cover(h, masks, list(combo))
-        return Miss("not_found", "even-cover")
-    if space <= _DECISIVE_CAP:
-        found = _meet_in_the_middle(masks, k)
-        if found is None:
-            return Miss("not_found", "even-cover")
-        return _checked_cover(h, masks, found)
-    return Miss("unknown", "even-cover")
-
-
-def _meet_in_the_middle(masks: list[int], k: int) -> list[int] | None:
-    m = len(masks)
-    half = m // 2
-    left, right = list(range(half)), list(range(half, m))
-    for a in range(max(0, k - len(right)), min(k, len(left)) + 1):
-        sigs: dict[int, tuple[int, ...]] = {}
-        for combo in combinations(left, a):
-            acc = 0
-            for i in combo:
-                acc ^= masks[i]
-            sigs.setdefault(acc, combo)
-        for combo in combinations(right, k - a):
-            acc = 0
-            for i in combo:
-                acc ^= masks[i]
-            match = sigs.get(acc)
-            if match is not None:
-                return sorted(match + combo)
-    return None
+    return _checked_cover(h, masks, found)
 
 
 def _checked_cover(
@@ -253,16 +263,16 @@ def find_even_chromatic_kst(
     t: int,
     t_prime: int | None = None,
     retry_w: bool = False,
-    sweep_budget: int = 200_000,
 ) -> Bipartition | Miss:
     """Search for an even-chromatic K_{s,t} in a colored complete graph.
 
     Odd s runs the constructive pipeline (strongly-even K_{s-3,t'} pool,
     w-triple supports, even cover); when that stalls, an exhaustive sweep
-    over all s-tuples in the w-role decides existence outright if it fits
-    ``sweep_budget``.  Even s goes through the strongly-even search
-    directly, whose miss certifies only the absence of *strongly*-even
-    copies.  Every returned bipartition is verified even-chromatic.
+    over all s-tuples in the w-role decides existence outright if its
+    C(n,s)*C(n-s,t) candidate splits fit ``_EXHAUSTIVE_CAP``.  Even s goes
+    through the strongly-even search directly, whose miss certifies only
+    the absence of *strongly*-even copies.  Every returned bipartition is
+    verified even-chromatic.
     """
     n = chi.host.n
     if not chi.host.is_complete():
@@ -281,10 +291,8 @@ def find_even_chromatic_kst(
     res = _odd_pipeline(chi, s, t, t_prime, retry_w)
     if isinstance(res, Bipartition):
         return res
-    if comb(n, s) * comb(n - s, t) <= sweep_budget:
-        sweep = _sweep_all_tuples(chi, s, t)
-        if isinstance(sweep, Bipartition) or sweep.status == "not_found":
-            return sweep
+    if comb(n, s) * comb(n - s, t) <= _EXHAUSTIVE_CAP:
+        return _sweep_all_tuples(chi, s, t)
     return Miss("unknown", res.stage)
 
 
@@ -326,9 +334,10 @@ def _sweep_all_tuples(
 
     A bipartition (A, B) is even-chromatic iff the odd-supports of the
     B-vertices toward A XOR to zero, so exhausting A decides the question.
+    The caller bounds C(n,s)*C(n-s,t) by ``_EXHAUSTIVE_CAP``, so every
+    per-tuple search is a lexicographic scan and none can run out of budget.
     """
     n = chi.host.n
-    decisive = True
     for a_side in combinations(range(n), s):
         rest = [v for v in range(n) if v not in a_side]
         masks = []
@@ -337,30 +346,14 @@ def _sweep_all_tuples(
             for w in a_side:
                 acc ^= 1 << (chi.color(u, w) - 1)
             masks.append(acc)
-        space = comb(len(rest), t)
-        if space > _DECISIVE_CAP:
-            decisive = False
-            continue
-        found = None
-        if space <= _EXHAUSTIVE_CAP:
-            for combo in combinations(range(len(rest)), t):
-                acc = 0
-                for i in combo:
-                    acc ^= masks[i]
-                if acc == 0:
-                    found = list(combo)
-                    break
-        else:
-            found = _meet_in_the_middle(masks, t)
+        found = _zero_xor_subset(masks, t)
         if found is not None:
             out = Bipartition(
                 tuple(a_side), tuple(sorted(rest[i] for i in found))
             )
             _assert_even(chi, out)
             return out
-    if decisive:
-        return Miss("not_found", "s-tuple-sweep")
-    return Miss("unknown", "s-tuple-sweep")
+    return Miss("not_found", "s-tuple-sweep")
 
 
 def _assert_even(chi: EdgeColoring, b: Bipartition) -> None:

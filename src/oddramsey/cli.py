@@ -30,6 +30,7 @@ from .errors import (
     OddRamseyError,
     PreconditionFailed,
 )
+from .hamilton import ENUMERATION_CAP
 
 STATUS_CODES = {
     "ok": 0,
@@ -73,11 +74,16 @@ def _read_instance(path: str) -> EdgeColoring:
 def _enum_cap() -> int:
     raw = os.environ.get("ODDRAMSEY_MAX_N")
     if raw is None:
-        return 12
+        return ENUMERATION_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise _UsageError(f"ODDRAMSEY_MAX_N must be an integer, got {raw!r}") from None
+        cap = None
+    if cap is None or cap < 0:
+        raise _UsageError(
+            f"ODDRAMSEY_MAX_N must be a non-negative integer, got {raw!r}"
+        )
+    return cap
 
 
 def build_parser() -> _Parser:

@@ -293,19 +293,27 @@ def instance_to_obj(coloring: EdgeColoring) -> dict:
 
 
 def instance_from_obj(obj: dict) -> EdgeColoring:
+    # Fields must be JSON integers and a list: a bool or float is rejected,
+    # not coerced.
     try:
-        n = int(obj["n"])
-        r = int(obj["r"])
-        raw = obj["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, r, raw = obj["n"], obj["r"], obj["edges"]
+    except (KeyError, TypeError) as exc:
         raise PreconditionFailed(f"malformed instance object: {exc}") from exc
+    if type(n) is not int or type(r) is not int or type(raw) is not list:
+        raise PreconditionFailed(
+            "malformed instance object: n and r must be integers, edges a list"
+        )
     seen: dict[Edge, int] = {}
     pairs = []
     for item in raw:
         try:
-            u, v, c = int(item["u"]), int(item["v"]), int(item["c"])
-        except (KeyError, TypeError, ValueError) as exc:
+            u, v, c = item["u"], item["v"], item["c"]
+        except (KeyError, TypeError) as exc:
             raise PreconditionFailed(f"malformed edge record {item!r}") from exc
+        if type(u) is not int or type(v) is not int or type(c) is not int:
+            raise PreconditionFailed(
+                f"malformed edge record {item!r}: u, v and c must be integers"
+            )
         if u == v:
             raise PreconditionFailed(f"self-loop {u}-{v} rejected")
         if not u < v:

@@ -2,19 +2,20 @@
 
 One closure engine (threshold-parametrized) backs every guaranteed-existence
 route: closing the graph, taking the trivial Hamilton cycle of the complete
-closure, and unwinding added edges by crossing-pair rotations.  A
-deterministic backtracking searcher covers the cases the closure alone does
-not certify, and a canonical enumerator serves as the oracle for everything
-else in the test suite.
+closure, and unwinding added edges by crossing-pair rotations.  One search
+kernel, an iterative depth-first search that lists Hamilton paths in
+lexicographic order, serves the three exhaustive jobs: the path fallback
+and the cycle fallback for the cases the closure alone does not certify,
+and the canonical cycle enumerator that is the oracle for everything else
+in the test suite.
 
-All "find" operations are deterministic: backtracking extends from the
-endpoint with the fewer open continuations and tries neighbors in
-increasing vertex id.
+All "find" operations are deterministic: the kernel tries neighbors in
+increasing vertex id, so each fallback returns the lexicographically first
+path or cycle it accepts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -117,97 +118,46 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic backtracking searches
+# The Hamilton path search kernel
 # ---------------------------------------------------------------------------
 
 
-def _find_cycle_backtrack(
-    g: SimpleGraph, forbidden: Edge | None = None, reverse: bool = False
-) -> CycleOrPath | None:
-    """First Hamilton cycle through vertex 0, or None.
+def _hamilton_paths(
+    g: SimpleGraph, start: int, end: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every Hamilton path from ``start``, or only those ending at ``end``.
 
-    The growing path is extended from whichever endpoint has fewer open
-    continuations; candidate neighbors are tried in increasing id
-    (decreasing when ``reverse`` re-seeds the scan order).
+    An iterative depth-first search over bitmask rows that extends the path
+    with unvisited neighbors in increasing id, so paths come out in
+    lexicographic order.  ``end`` is held back until it is the only vertex
+    left.
     """
     n = g.n
-    if n < 3:
-        return None
     rows = [g.mask(v) for v in range(n)]
-    if forbidden is not None and g.has_edge(forbidden):
-        rows[forbidden.u] &= ~(1 << forbidden.v)
-        rows[forbidden.v] &= ~(1 << forbidden.u)
-    path: deque[int] = deque([0])
-    visited = 1
-
-    def options(v: int) -> list[int]:
-        m = rows[v] & ~visited
-        out = [u for u in range(n) if m >> u & 1]
-        return out[::-1] if reverse else out
-
-    def extend() -> bool:
-        nonlocal visited
-        if len(path) == n:
-            return bool(rows[path[0]] >> path[-1] & 1)
-        head, tail = path[0], path[-1]
-        cand_head = options(head)
-        cand_tail = options(tail)
-        if not cand_head or not cand_tail:
-            return False
-        at_tail = len(cand_tail) < len(cand_head) or (
-            len(cand_tail) == len(cand_head) and tail <= head
-        )
-        for u in cand_tail if at_tail else cand_head:
-            if at_tail:
-                path.append(u)
-            else:
-                path.appendleft(u)
-            visited |= 1 << u
-            if extend():
-                return True
-            visited &= ~(1 << u)
-            if at_tail:
-                path.pop()
-            else:
-                path.popleft()
-        return False
-
-    if extend():
-        return CycleOrPath(tuple(path), closed=True)
-    return None
-
-
-def _find_path_backtrack(g: SimpleGraph, x: int, y: int) -> CycleOrPath | None:
-    """First Hamilton {x,y}-path by DFS from x, neighbors ascending."""
-    n = g.n
-    rows = [g.mask(v) for v in range(n)]
-    path = [x]
-    visited = 1 << x
-
-    def extend() -> bool:
-        nonlocal visited
-        last = path[-1]
-        if len(path) == n:
-            return last == y
-        m = rows[last] & ~visited
-        for u in range(n):
-            if not m >> u & 1:
-                continue
-            if u == y and len(path) != n - 1:
-                continue
-            path.append(u)
-            visited |= 1 << u
-            if extend():
-                return True
-            visited &= ~(1 << u)
-            path.pop()
-        return False
-
-    if x == y or not (0 <= x < n and 0 <= y < n):
-        return None
-    if extend():
-        return CycleOrPath(tuple(path))
-    return None
+    path = [start]
+    seen = 1 << start
+    if end is not None:
+        seen |= 1 << end
+    goal = n if end is None else n - 1
+    # todo[i] holds the untried continuations of path[: i + 1].
+    todo = [rows[start] & ~seen]
+    while todo:
+        m = todo[-1]
+        if m:
+            low = m & -m
+            todo[-1] = m ^ low
+            v = low.bit_length() - 1
+            path.append(v)
+            seen |= low
+            todo.append(rows[v] & ~seen)
+            continue
+        if len(path) == goal:
+            if end is None:
+                yield tuple(path)
+            elif rows[path[-1]] >> end & 1:
+                yield (*path, end)
+        todo.pop()
+        seen ^= 1 << path.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +196,18 @@ def hamilton_path_between(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
 
     Guaranteed under the degree-sum condition d(u)+d(v) >= n+1 for all
     non-adjacent u,v; outside that regime the closure attempt falls back to
-    exhaustive backtracking and the caller accepts NotFoundError.
+    the search kernel, which returns the lexicographically first x..y path,
+    and the caller accepts NotFoundError.
     """
     if x == y:
         raise PreconditionFailed("endpoints must differ")
     found = _path_via_closure(g, x, y)
-    if found is None:
-        found = _find_path_backtrack(g, x, y)
-    if found is None:
+    if found is not None:
+        return found
+    vs = next(_hamilton_paths(g, x, y), None)
+    if vs is None:
         raise NotFoundError(f"no Hamilton path between {x} and {y}")
-    return found
+    return CycleOrPath(vs)
 
 
 def strong_ore_path(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
@@ -340,10 +292,12 @@ def strong_ore_path(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
 
 
 def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
-    """A Hamilton cycle, via closure at threshold n with backtracking fallback.
+    """A Hamilton cycle, via closure at threshold n with a search fallback.
 
     Guaranteed when the minimum degree is at least n/2; on weaker inputs the
-    fallback still returns a cycle whenever one exists.
+    fallback returns the first Hamilton path from vertex 0 (in the search
+    kernel's lexicographic order) that closes into a cycle, whenever one
+    exists.
     """
     n = g.n
     if n < 3:
@@ -351,50 +305,48 @@ def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
     trace = bondy_chvatal_closure(g, n)
     if trace.closure.is_complete():
         return unwind_closure(trace, CycleOrPath(tuple(range(n)), closed=True))
-    found = _find_cycle_backtrack(g)
-    if found is None:
+    vs = next((p for p in _hamilton_paths(g, 0) if g.adjacent(p[-1], 0)), None)
+    if vs is None:
         raise NotFoundError("graph has no Hamilton cycle")
+    found = CycleOrPath(vs, closed=True)
     found.validate(g)
     return found
 
 
-def hamilton_cycle_avoiding_edge(
-    g: SimpleGraph, forbidden: Edge, reverse: bool = False
-) -> CycleOrPath:
+def hamilton_cycle_avoiding_edge(g: SimpleGraph, forbidden: Edge) -> CycleOrPath:
     """Hamilton cycle of g whose edge set excludes ``forbidden``."""
-    if not g.has_edge(forbidden):
-        return dirac_hamilton_cycle(g)
-    reduced = g.without_edge(forbidden)
-    trace = bondy_chvatal_closure(reduced, reduced.n)
-    if trace.closure.is_complete() and not reverse:
-        return unwind_closure(
-            trace, CycleOrPath(tuple(range(reduced.n)), closed=True)
-        )
-    found = _find_cycle_backtrack(reduced, reverse=reverse)
-    if found is None:
-        raise NotFoundError(f"no Hamilton cycle avoiding {forbidden}")
-    found.validate(reduced)
-    return found
+    if g.has_edge(forbidden):
+        g = g.without_edge(forbidden)
+    return dirac_hamilton_cycle(g)
+
+
+def short_connectors(
+    g: SimpleGraph, a: int, b: int, s: set[int] | frozenset[int] = frozenset()
+) -> Iterator[CycleOrPath]:
+    """Every {a,b}-path of length at most 2 disjoint from ``s``, shortest
+    first: the direct edge, then cherries by increasing middle vertex."""
+    if a == b or a in s or b in s:
+        raise PreconditionFailed("connector endpoints must be distinct and off s")
+    if g.adjacent(a, b):
+        yield CycleOrPath((a, b))
+    for x in range(g.n):
+        if x in s or x == a or x == b:
+            continue
+        if g.adjacent(a, x) and g.adjacent(b, x):
+            yield CycleOrPath((a, x, b))
 
 
 def short_connector(
     g: SimpleGraph, a: int, b: int, s: set[int] | frozenset[int] = frozenset()
 ) -> CycleOrPath:
-    """{a,b}-path of length at most 2 disjoint from ``s``, shortest first.
+    """The first of :func:`short_connectors`.
 
-    Guaranteed when the minimum degree is at least (n+|s|+1)/2; the direct
-    edge is always preferred over a cherry.
+    Guaranteed when the minimum degree is at least (n+|s|+1)/2.
     """
-    if a == b or a in s or b in s:
-        raise PreconditionFailed("connector endpoints must be distinct and off s")
-    if g.adjacent(a, b):
-        return CycleOrPath((a, b))
-    for x in range(g.n):
-        if x in s or x == a or x == b:
-            continue
-        if g.adjacent(a, x) and g.adjacent(b, x):
-            return CycleOrPath((a, x, b))
-    raise NotFoundError(f"no short connector between {a} and {b}")
+    found = next(short_connectors(g, a, b, s), None)
+    if found is None:
+        raise NotFoundError(f"no short connector between {a} and {b}")
+    return found
 
 
 def enumerate_hamilton_cycles(
@@ -410,26 +362,10 @@ def enumerate_hamilton_cycles(
         raise CapExceeded(f"enumeration capped at n <= {cap}, got n = {n}")
     if n < 3:
         return
-    rows = [g.mask(v) for v in range(n)]
-    path = [0]
-    visited = 1
-
-    def rec() -> Iterator[CycleOrPath]:
-        nonlocal visited
-        if len(path) == n:
-            if rows[path[-1]] & 1 and path[1] < path[-1]:
-                yield CycleOrPath(tuple(path), closed=True)
-            return
-        m = rows[path[-1]] & ~visited
-        for u in range(1, n):
-            if m >> u & 1:
-                path.append(u)
-                visited |= 1 << u
-                yield from rec()
-                visited &= ~(1 << u)
-                path.pop()
-
-    yield from rec()
+    closing = g.mask(0)
+    for p in _hamilton_paths(g, 0):
+        if closing >> p[-1] & 1 and p[1] < p[-1]:
+            yield CycleOrPath(p, closed=True)
 
 
 def hamilton_path_in_subgraph(

@@ -33,20 +33,21 @@ from .errors import (
     PreconditionFailed,
     RecursionExhausted,
 )
-
-
-class _CaseExhausted(InternalContradiction):
-    """A boundary configuration the case analysis cannot finish for the
-    current hexagon labeling and connector choice; the caller retries the
-    other existential choices before giving up."""
 from .hamilton import (
     assert_valid_cycle,
     dirac_hamilton_cycle,
     hamilton_cycle_avoiding_edge,
     hamilton_path_in_subgraph,
     short_connector,
+    short_connectors,
     strong_ore_path,
 )
+
+
+class _CaseExhausted(InternalContradiction):
+    """A boundary configuration the case analysis cannot finish for the
+    current hexagon labeling and connector choice; the caller retries the
+    other existential choices before giving up."""
 
 
 @dataclass(frozen=True)
@@ -203,17 +204,6 @@ def _generic_candidates(
     return out
 
 
-def _connector_candidates(g: SimpleGraph, a: int, b: int, s: set[int]):
-    """All {a,b}-paths of length at most 2 avoiding s, shortest first."""
-    if g.adjacent(a, b):
-        yield CycleOrPath((a, b))
-    for x in range(g.n):
-        if x in s or x == a or x == b:
-            continue
-        if g.adjacent(a, x) and g.adjacent(b, x):
-            yield CycleOrPath((a, x, b))
-
-
 def switch_c6(
     g: SimpleGraph, chi: EdgeColoring, c6: CycleOrPath
 ) -> SwitchOutcome:
@@ -240,8 +230,8 @@ def switch_c6(
     last: _CaseExhausted | None = None
     for hexa in labelings:
         a, b, c, d, e, f = hexa
-        for q1 in _connector_candidates(g, b, f, {a, c, d, e}):
-            for q2 in _connector_candidates(g, c, e, {a, d} | set(q1.vertices)):
+        for q1 in short_connectors(g, b, f, {a, c, d, e}):
+            for q2 in short_connectors(g, c, e, {a, d} | set(q1.vertices)):
                 try:
                     return _c6_dispatch(g, chi, hexa, q1, q2, depth=3)
                 except _CaseExhausted as exc:
@@ -346,33 +336,9 @@ def _case12(
     np = len(keep)
     sub, old = g.induced(keep)
     pos = {o: i for i, o in enumerate(old)}
-
-    def cycle_attempt(reverse: bool) -> list[int] | None:
-        try:
-            cyc = hamilton_cycle_avoiding_edge(
-                sub, graph_edge(pos[a], pos[d]), reverse=reverse
-            )
-        except (NotFoundError, PreconditionFailed):
-            return None
-        return [old[i] for i in cyc.vertices]
-
-    def find_switch_edge(cyc: list[int]) -> tuple[int, int] | None:
-        for i in range(len(cyc)):
-            u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-            if 2 * degs[u] == np and 2 * degs[v] == np:
-                return u, v
-        return None
-
-    rechosen = ""
-    cyc = cycle_attempt(reverse=False)
-    pair = find_switch_edge(cyc) if cyc is not None else None
-    if cyc is not None and pair is None:
-        # Unreachable by the pigeonhole on the cycle, kept as a guarded
-        # retry with the opposite search order.
-        cyc = cycle_attempt(reverse=True)
-        pair = find_switch_edge(cyc) if cyc is not None else None
-        rechosen = "+rechosen"
-    if cyc is None or pair is None:
+    try:
+        found = hamilton_cycle_avoiding_edge(sub, graph_edge(pos[a], pos[d]))
+    except (NotFoundError, PreconditionFailed):
         # Tiny residual graphs can make the avoiding cycle impossible;
         # a direct Hamilton {a,d}-path still yields the generic candidates.
         p = _try_ad_path(g, keep, a, d)
@@ -381,14 +347,22 @@ def _case12(
         return _generic_candidates(
             g, chi, hexa, q1, q2, p, "c6-switch case-1.2-path-fallback"
         )
-    u, v = pair
+    cyc = [old[i] for i in found.vertices]
+    for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+        if 2 * degs[u] == np and 2 * degs[v] == np:
+            break
+    else:
+        raise InternalContradiction(
+            "a cycle with a low-degree majority must have two consecutive "
+            "low vertices (pigeonhole)"
+        )
     in_ad = [z for z in (u, v) if z in (a, d)]
     if len(in_ad) == 2:
         raise InternalContradiction("cycle uses the excluded chord")
     if len(in_ad) == 1:
         return _case122(g, chi, hexa, q1, q2, cyc, in_ad[0],
-                        (u if v in in_ad else v), rechosen)
-    return _case121(g, chi, hexa, q1, q2, cyc, u, v, rechosen)
+                        (u if v in in_ad else v))
+    return _case121(g, chi, hexa, q1, q2, cyc, u, v)
 
 
 def _split_arcs(cyc: list[int], a: int, d: int) -> tuple[list[int], list[int]]:
@@ -401,7 +375,7 @@ def _split_arcs(cyc: list[int], a: int, d: int) -> tuple[list[int], list[int]]:
 
 
 def _case121(
-    g, chi, hexa, q1, q2, cyc: list[int], u: int, v: int, rechosen: str
+    g, chi, hexa, q1, q2, cyc: list[int], u: int, v: int
 ) -> SwitchOutcome:
     a, b, c, d, e, f = hexa
     arc1, arc2 = _split_arcs(cyc, a, d)
@@ -427,9 +401,7 @@ def _case121(
         g, tuple(p1a), q1.vertices, _rev(q2), tuple(p1b), tuple(p2int)
     )
     witness = CycleOrPath(hexa, closed=True)
-    out = _pick_even(
-        chi, cand1, cand2, witness, "c6-switch case-1.2.1" + rechosen
-    )
+    out = _pick_even(chi, cand1, cand2, witness, "c6-switch case-1.2.1")
     diff = symmetric_difference(cand1, cand2)
     if parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors:
         raise InternalContradiction("reroute difference lost the witness parity")
@@ -443,7 +415,7 @@ def _on_arc(arc: list[int], u: int, v: int) -> bool:
 
 
 def _case122(
-    g, chi, hexa, q1, q2, cyc: list[int], special: int, v: int, rechosen: str
+    g, chi, hexa, q1, q2, cyc: list[int], special: int, v: int
 ) -> SwitchOutcome:
     a, b, c, d, e, f = hexa
     if special == d:
@@ -470,9 +442,7 @@ def _case122(
         g, tuple(p1p), tuple(p2int), (a,), _rev(q1), q2.vertices
     )
     witness = CycleOrPath(hexa, closed=True)
-    out = _pick_even(
-        chi, cand1, cand2, witness, "c6-switch case-1.2.2" + rechosen
-    )
+    out = _pick_even(chi, cand1, cand2, witness, "c6-switch case-1.2.2")
     diff = symmetric_difference(cand1, cand2)
     if parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors:
         raise InternalContradiction("reroute difference lost the witness parity")

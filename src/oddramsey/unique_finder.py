@@ -115,16 +115,10 @@ class PreservedCollection:
 
 
 @dataclass(frozen=True)
-class VirtualVertexMap:
-    pairs: tuple[tuple[int, int], ...]  # (real singleton, virtual twin)
-
-
-@dataclass(frozen=True)
 class UniqueFreeResult:
     cycle: CycleOrPath
     census: ParityCensus
     ledger: ColorLedger
-    virtual_map: VirtualVertexMap
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +885,5 @@ def find_unique_free_hamilton(
         raise InternalContradiction(
             f"pipeline closed a cycle with unique colors {census.unique_colors}"
         )
-    vmap = VirtualVertexMap(
-        tuple(sorted((r, v) for v, r in coll.virtual_real.items()))
-    )
     ledger.note("done", census={str(k): v for k, v in sorted(census.counts.items())})
-    return UniqueFreeResult(cycle, census, ledger, vmap)
+    return UniqueFreeResult(cycle, census, ledger)

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -183,16 +184,49 @@ def test_even_cover_oracle_equivalence():
 
 
 def test_even_cover_mitm_matches_exhaustive():
-    # force the meet-in-the-middle tier with a wide hypergraph
+    # a wide hypergraph at even k: duplicate pairing answers before the
+    # meet-in-the-middle tier (the odd-k test below reaches that tier)
     rng = random.Random(5)
     edges = tuple(
         (i, frozenset(rng.sample(range(1, 13), rng.choice([1, 3]))))
         for i in range(26)
     )
     h = ParityHypergraph(12, edges)
-    got = find_even_cover(h, 8)  # C(26,8) ~ 1.56M: MITM tier
+    got = find_even_cover(h, 8)
     exists = _cover_exists_oracle(h, 8)
     assert isinstance(got, EvenCover) == exists
+
+
+@pytest.mark.parametrize("sizes", [(1, 3), (1, 2, 3)])
+def test_even_cover_odd_k_runs_meet_in_the_middle(sizes):
+    # odd k skips duplicate pairing and C(26,7) = 657,800 lies between the
+    # exhaustive and decisive caps, so only meet-in-the-middle answers; an
+    # odd number of odd-size supports never XORs to zero, mixed sizes can
+    rng = random.Random(5)
+    edges = tuple(
+        (i, frozenset(rng.sample(range(1, 13), rng.choice(sizes))))
+        for i in range(26)
+    )
+    h = ParityHypergraph(12, edges)
+    assert 200_000 < comb(26, 7) <= 10_000_000
+    got = find_even_cover(h, 7)
+    exists = _cover_exists_oracle(h, 7)
+    assert exists == (sizes == (1, 2, 3))
+    if exists:
+        assert isinstance(got, EvenCover) and len(set(got.labels)) == 7
+        counts = {}
+        supports = dict(h.edges)
+        for lab in got.labels:
+            for c in supports[lab]:
+                counts[c] = counts.get(c, 0) + 1
+        assert all(v % 2 == 0 for v in counts.values())
+    else:
+        assert got == Miss("not_found", "even-cover")
+    # beyond the decisive cap the search gives up instead of guessing
+    wide = ParityHypergraph(12, edges + tuple(
+        (26 + i, sup) for i, (_, sup) in enumerate(edges)
+    ))
+    assert find_even_cover(wide, 9) == Miss("unknown", "even-cover")
 
 
 def test_find_even_kst_monochromatic():

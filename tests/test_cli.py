@@ -147,6 +147,33 @@ def test_max_n_env_override(tmp_path, capsys, monkeypatch):
     )
     assert code in (0,)  # cap lifted; the check itself runs
     json.loads(out)
+    monkeypatch.setenv("ODDRAMSEY_MAX_N", "-1")
+    code, out, err = run_cli(
+        capsys, "verify", "cycles", "--input", str(big),
+        "--predicate", "even-chromatic",
+    )
+    assert code == USAGE_EXIT and out == ""
+    assert "ODDRAMSEY_MAX_N" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 4, "r": 1, "edges": 5}',
+        '{"n": true, "r": 1, "edges": []}',
+        '{"n": 2, "r": 1, "edges": [{"u": 0.7, "v": 1, "c": 1}]}',
+        '{"n": 2, "r": "1", "edges": [{"u": 0, "v": 1, "c": 1}]}',
+        '{"n": 2, "r": 1, "edges": [{"u": 0, "v": 1, "c": true}]}',
+        '{"n": 2, "r": 1, "edges": [[0, 1, 1]]}',
+        '[2, 1]',
+    ],
+)
+def test_malformed_instance_fields_are_usage_errors(tmp_path, capsys, text):
+    inst = tmp_path / "bad.json"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, "export", "dot", "--input", str(inst))
+    assert code == USAGE_EXIT and out == ""
+    assert "usage error: invalid instance: malformed" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -332,3 +332,74 @@ def test_enumeration_counts_and_canonical_form():
     assert len(list(enumerate_hamilton_cycles(c5))) == 1
     with pytest.raises(CapExceeded):
         list(enumerate_hamilton_cycles(SimpleGraph.complete(13)))
+
+
+def _random_graph(rng, n, density):
+    return SimpleGraph(
+        n,
+        [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < density
+        ],
+    )
+
+
+def test_enumeration_is_the_lexicographic_permutation_scan():
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randrange(3, 8)
+        g = _random_graph(rng, n, rng.choice([0.5, 0.7, 0.9]))
+        want = [
+            (0, *mid)
+            for mid in permutations(range(1, n))
+            if mid[0] < mid[-1]
+            and g.adjacent(0, mid[0])
+            and g.adjacent(mid[-1], 0)
+            and all(g.adjacent(mid[i], mid[i + 1]) for i in range(n - 2))
+        ]
+        got = [c.vertices for c in enumerate_hamilton_cycles(g)]
+        assert got == want
+
+
+def test_path_fallback_returns_lexicographically_first_path():
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(150):
+        n = rng.randrange(4, 8)
+        g = _random_graph(rng, n, 0.55)
+        for x in range(n):
+            for y in range(n):
+                if x == y:
+                    continue
+                aux = g.add_vertex_with_neighbors([x, y])
+                if bondy_chvatal_closure(aux, aux.n).closure.is_complete():
+                    continue
+                rest = [v for v in range(n) if v not in (x, y)]
+                first = next(
+                    (
+                        (x, *mid, y)
+                        for mid in permutations(rest)
+                        if all(
+                            g.adjacent(a, b)
+                            for a, b in zip((x, *mid), (*mid, y))
+                        )
+                    ),
+                    None,
+                )
+                if first is None:
+                    with pytest.raises(NotFoundError):
+                        hamilton_path_between(g, x, y)
+                else:
+                    assert hamilton_path_between(g, x, y).vertices == first
+                    checked += 1
+    assert checked > 50
+
+
+def test_path_fallback_has_no_recursion_limit():
+    # a long path graph leaves the closure idle, so the search kernel walks
+    # all 1200 vertices; a recursive search would hit Python's depth limit
+    n = 1200
+    g = SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
+    assert hamilton_path_between(g, 0, n - 1).vertices == tuple(range(n))
