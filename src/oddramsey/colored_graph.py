@@ -231,18 +231,19 @@ class CycleOrPath:
         return CycleOrPath(tuple(reversed(self.vertices)), self.closed)
 
     def canonical(self) -> tuple[int, ...]:
-        """Rotation/reflection-invariant form of a closed cycle."""
+        """Rotation/reflection-invariant form of a closed cycle.
+
+        The lexicographically least rotation or reflection: it starts at the
+        smallest vertex and walks towards the smaller of its two neighbors.
+        """
         if not self.closed:
             raise PreconditionFailed("canonical form is defined for cycles")
         vs = self.vertices
-        k = len(vs)
-        best = None
-        for i in range(k):
-            for step in (1, -1):
-                cand = tuple(vs[(i + step * j) % k] for j in range(k))
-                if best is None or cand < best:
-                    best = cand
-        return best
+        i = vs.index(min(vs))
+        out = vs[i:] + vs[:i]
+        if out[-1] < out[1]:
+            out = out[:1] + out[:0:-1]
+        return out
 
     def validate(self, g: SimpleGraph) -> None:
         """Check every consecutive pair is a host edge; raises otherwise."""
@@ -278,8 +279,12 @@ def symmetric_difference(c1: CycleOrPath, c2: CycleOrPath) -> set[Edge]:
 # JSON instance format, shared by every module and the CLI:
 #   {"n": <int>, "r": <int>, "edges": [{"u": <int>, "v": <int>, "c": <int>}]}
 # Edges are listed once with u < v; for complete hosts all C(n,2) edges
-# must appear.
+# must appear.  n must lie in 1..MAX_INSTANCE_N.
 # ---------------------------------------------------------------------------
+
+# Largest vertex count an instance document may declare.  Checked before
+# any graph is built, since building costs O(n^2) even without edges.
+MAX_INSTANCE_N = 2000
 
 
 def instance_to_obj(coloring: EdgeColoring) -> dict:
@@ -302,6 +307,10 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
     if type(n) is not int or type(r) is not int or type(raw) is not list:
         raise PreconditionFailed(
             "malformed instance object: n and r must be integers, edges a list"
+        )
+    if not 1 <= n <= MAX_INSTANCE_N:
+        raise PreconditionFailed(
+            f"instance size n = {n} outside 1..{MAX_INSTANCE_N}"
         )
     seen: dict[Edge, int] = {}
     pairs = []

@@ -2,12 +2,14 @@
 
 One closure engine (threshold-parametrized) backs every guaranteed-existence
 route: closing the graph, taking the trivial Hamilton cycle of the complete
-closure, and unwinding added edges by crossing-pair rotations.  One search
-kernel, an iterative depth-first search that lists Hamilton paths in
-lexicographic order, serves the three exhaustive jobs: the path fallback
-and the cycle fallback for the cases the closure alone does not certify,
-and the canonical cycle enumerator that is the oracle for everything else
-in the test suite.
+closure, and unwinding added edges by crossing-pair rotations.  The closure
+always adds the lexicographically first eligible pair next, kept by a
+min-heap worklist rather than a rescan of all pairs.  One search kernel, an
+iterative depth-first search that lists Hamilton paths in lexicographic
+order, serves the three exhaustive jobs: the path fallback and the cycle
+fallback for the cases the closure alone does not certify (each bounded by
+FALLBACK_NODE_BUDGET), and the canonical cycle enumerator that is the
+oracle for everything else in the test suite.
 
 All "find" operations are deterministic: the kernel tries neighbors in
 increasing vertex id, so each fallback returns the lexicographically first
@@ -17,6 +19,7 @@ path or cycle it accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .colored_graph import CycleOrPath, Edge, SimpleGraph, min_degree
@@ -28,6 +31,10 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 12
+# Search-kernel nodes (path extensions) the first-result fallbacks of
+# hamilton_path_between and dirac_hamilton_cycle may spend before raising
+# CapExceeded; enumeration is bounded by its vertex cap instead.
+FALLBACK_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -47,28 +54,46 @@ class ClosureTrace:
 def bondy_chvatal_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
     """Fixpoint of adding non-edges xy with deg(x)+deg(y) >= threshold.
 
-    Insertion order is deterministic: after every addition the scan restarts
-    and picks the lexicographically first eligible pair.
+    Insertion order is deterministic: each step adds the lexicographically
+    first eligible pair.  Degrees only grow, so a pair stays eligible until
+    it is added; a min-heap worklist holds every eligible pair once, and
+    after uv is added only partners of u or v whose degree now exactly
+    meets the threshold join it, found through one bitmask per degree.
     """
     n = g.n
     rows = [g.mask(v) for v in range(n)]
     deg = [g.degree(v) for v in range(n)]
+    by_deg = [0] * n  # by_deg[d]: bitmask of the vertices of degree d
+    for v in range(n):
+        by_deg[deg[v]] |= 1 << v
+    # generated in increasing order, so the list is already a heap
+    heap = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not rows[u] >> v & 1 and deg[u] + deg[v] >= threshold
+    ]
     added: list[tuple[Edge, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] >> v & 1 and deg[u] + deg[v] >= threshold:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    deg[u] += 1
-                    deg[v] += 1
-                    added.append((Edge(u, v), deg[u] + deg[v] - 2))
-                    changed = True
-                    break
-            if changed:
-                break
+    while heap:
+        u, v = heappop(heap)
+        added.append((Edge(u, v), deg[u] + deg[v]))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        for x in (u, v):
+            d = deg[x]
+            deg[x] = d + 1
+            by_deg[d] ^= 1 << x
+            by_deg[d + 1] |= 1 << x
+            # x's newly eligible partners: non-neighbors of degree exactly
+            # threshold - (d + 1); each pair thus enters the heap once
+            need = threshold - d - 1
+            if 0 <= need < n:
+                m = by_deg[need] & ~rows[x] & ~(1 << x)
+                while m:
+                    low = m & -m
+                    w = low.bit_length() - 1
+                    heappush(heap, (x, w) if x < w else (w, x))
+                    m ^= low
     closure = g.with_edges(e for e, _ in added)
     return ClosureTrace(g, threshold, tuple(added), closure)
 
@@ -91,15 +116,14 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
     for e, _witness in reversed(trace.added):
         rows[e.u] &= ~(1 << e.v)
         rows[e.v] &= ~(1 << e.u)
-        pos = next(
-            (
-                i
-                for i in range(n)
-                if {current[i], current[(i + 1) % n]} == {e.u, e.v}
-            ),
-            None,
-        )
-        if pos is None:
+        # an edge occurs at most once on a Hamilton cycle: it joins u to
+        # the vertex after it or the one before it, or it is absent
+        at = current.index(e.u)
+        if current[(at + 1) % n] == e.v:
+            pos = at
+        elif current[at - 1] == e.v:
+            pos = (at - 1) % n
+        else:
             continue
         # Hamilton path p with endpoints x=p[0], y=p[-1] joined by e.
         p = current[pos + 1 :] + current[: pos + 1]
@@ -123,14 +147,15 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
 
 
 def _hamilton_paths(
-    g: SimpleGraph, start: int, end: int | None = None
+    g: SimpleGraph, start: int, end: int | None = None, budget: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Every Hamilton path from ``start``, or only those ending at ``end``.
 
     An iterative depth-first search over bitmask rows that extends the path
     with unvisited neighbors in increasing id, so paths come out in
     lexicographic order.  ``end`` is held back until it is the only vertex
-    left.
+    left.  With a ``budget``, extending the path more than that many times
+    raises CapExceeded.
     """
     n = g.n
     rows = [g.mask(v) for v in range(n)]
@@ -139,11 +164,15 @@ def _hamilton_paths(
     if end is not None:
         seen |= 1 << end
     goal = n if end is None else n - 1
+    left = -1 if budget is None else budget
     # todo[i] holds the untried continuations of path[: i + 1].
     todo = [rows[start] & ~seen]
     while todo:
         m = todo[-1]
         if m:
+            if not left:
+                raise CapExceeded(f"Hamilton search stopped after {budget} nodes")
+            left -= 1
             low = m & -m
             todo[-1] = m ^ low
             v = low.bit_length() - 1
@@ -197,14 +226,15 @@ def hamilton_path_between(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
     Guaranteed under the degree-sum condition d(u)+d(v) >= n+1 for all
     non-adjacent u,v; outside that regime the closure attempt falls back to
     the search kernel, which returns the lexicographically first x..y path,
-    and the caller accepts NotFoundError.
+    and the caller accepts NotFoundError (or CapExceeded once the search
+    spends FALLBACK_NODE_BUDGET nodes).
     """
     if x == y:
         raise PreconditionFailed("endpoints must differ")
     found = _path_via_closure(g, x, y)
     if found is not None:
         return found
-    vs = next(_hamilton_paths(g, x, y), None)
+    vs = next(_hamilton_paths(g, x, y, budget=FALLBACK_NODE_BUDGET), None)
     if vs is None:
         raise NotFoundError(f"no Hamilton path between {x} and {y}")
     return CycleOrPath(vs)
@@ -297,7 +327,7 @@ def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
     Guaranteed when the minimum degree is at least n/2; on weaker inputs the
     fallback returns the first Hamilton path from vertex 0 (in the search
     kernel's lexicographic order) that closes into a cycle, whenever one
-    exists.
+    exists, or raises CapExceeded after FALLBACK_NODE_BUDGET search nodes.
     """
     n = g.n
     if n < 3:
@@ -305,7 +335,8 @@ def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
     trace = bondy_chvatal_closure(g, n)
     if trace.closure.is_complete():
         return unwind_closure(trace, CycleOrPath(tuple(range(n)), closed=True))
-    vs = next((p for p in _hamilton_paths(g, 0) if g.adjacent(p[-1], 0)), None)
+    paths = _hamilton_paths(g, 0, budget=FALLBACK_NODE_BUDGET)
+    vs = next((p for p in paths if g.adjacent(p[-1], 0)), None)
     if vs is None:
         raise NotFoundError("graph has no Hamilton cycle")
     found = CycleOrPath(vs, closed=True)

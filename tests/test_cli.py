@@ -176,6 +176,17 @@ def test_malformed_instance_fields_are_usage_errors(tmp_path, capsys, text):
     assert "usage error: invalid instance: malformed" in err
 
 
+@pytest.mark.parametrize("n", [0, -3, 2001, 30000])
+def test_instance_size_outside_cap_is_usage_error(tmp_path, capsys, n):
+    # rejected before any graph is built: building one costs O(n^2) even
+    # with no edges, over 20 s at n = 30000
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps({"n": n, "r": 1, "edges": []}))
+    code, out, err = run_cli(capsys, "export", "dot", "--input", str(inst))
+    assert code == USAGE_EXIT and out == ""
+    assert f"instance size n = {n} outside 1..2000" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["nonsense"]) == USAGE_EXIT
 

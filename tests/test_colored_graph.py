@@ -144,6 +144,19 @@ def test_cycle_or_path_contracts():
         cyc.endpoints
 
 
+def test_canonical_is_least_rotation_or_reflection():
+    rng = random.Random(17)
+    for k in range(3, 13):
+        for _ in range(30):
+            vs = tuple(rng.sample(range(2 * k), k))
+            brute = min(
+                tuple(vs[(i + step * j) % k] for j in range(k))
+                for i in range(k)
+                for step in (1, -1)
+            )
+            assert CycleOrPath(vs, closed=True).canonical() == brute
+
+
 def test_instance_round_trip():
     chi = coloring_with(5, 3, {(0, 1): 2, (2, 4): 3})
     text = instance_to_json(chi)

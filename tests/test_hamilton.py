@@ -1,15 +1,17 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
 
-from oddramsey.colored_graph import CycleOrPath, SimpleGraph, edge
+from oddramsey.colored_graph import CycleOrPath, Edge, SimpleGraph, edge
 from oddramsey.errors import (
     CapExceeded,
     NotFoundError,
     PreconditionFailed,
 )
 from oddramsey.hamilton import (
+    FALLBACK_NODE_BUDGET,
     assert_valid_cycle,
     bondy_chvatal_closure,
     dirac_hamilton_cycle,
@@ -403,3 +405,116 @@ def test_path_fallback_has_no_recursion_limit():
     n = 1200
     g = SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
     assert hamilton_path_between(g, 0, n - 1).vertices == tuple(range(n))
+
+
+def _restart_scan_closure(g: SimpleGraph, threshold: int) -> list:
+    """The closure as a restart-scan: after every addition, rescan all pairs
+    for the lexicographically first eligible one."""
+    n = g.n
+    rows = [g.mask(v) for v in range(n)]
+    deg = [g.degree(v) for v in range(n)]
+    added = []
+    while True:
+        pair = next(
+            (
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if not rows[u] >> v & 1 and deg[u] + deg[v] >= threshold
+            ),
+            None,
+        )
+        if pair is None:
+            return added
+        u, v = pair
+        added.append((Edge(u, v), deg[u] + deg[v]))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+
+
+def _position_scan_unwind(trace, cycle: CycleOrPath) -> tuple:
+    """Unwinding that locates each removed edge by scanning every position."""
+    n = trace.base.n
+    rows = [trace.closure.mask(v) for v in range(n)]
+    current = list(cycle.vertices)
+    for e, _ in reversed(trace.added):
+        rows[e.u] &= ~(1 << e.v)
+        rows[e.v] &= ~(1 << e.u)
+        pos = next(
+            (
+                i
+                for i in range(n)
+                if {current[i], current[(i + 1) % n]} == {e.u, e.v}
+            ),
+            None,
+        )
+        if pos is None:
+            continue
+        p = current[pos + 1 :] + current[: pos + 1]
+        x, y = p[0], p[-1]
+        i = next(
+            i
+            for i in range(n - 1)
+            if rows[x] >> p[i + 1] & 1 and rows[y] >> p[i] & 1
+        )
+        current = p[: i + 1] + p[i + 1 :][::-1]
+    return tuple(current)
+
+
+def test_closure_order_matches_restart_scan():
+    # edges and witnesses, in order, on plain and auxiliary-vertex graphs
+    rng = random.Random(53)
+    for _ in range(100):
+        n = rng.randrange(3, 31)
+        g = _random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        x, y = rng.sample(range(n), 2)
+        for h in (g, g.add_vertex_with_neighbors([x, y])):
+            for t in (h.n - 1, h.n, h.n + 1):
+                assert list(bondy_chvatal_closure(h, t).added) == \
+                    _restart_scan_closure(h, t)
+
+
+def test_unwind_matches_position_scan():
+    rng = random.Random(59)
+    unwound = 0
+    for _ in range(120):
+        n = rng.randrange(4, 31)
+        g = _random_graph(rng, n, rng.choice([0.5, 0.6, 0.7]))
+        trace = bondy_chvatal_closure(g, n)
+        if not trace.closure.is_complete():
+            continue
+        # a rotated seed puts removed edges across the wrap-around too
+        r = rng.randrange(n)
+        seed = CycleOrPath(tuple(range(r, n)) + tuple(range(r)), closed=True)
+        got = unwind_closure(trace, seed).vertices
+        assert got == _position_scan_unwind(trace, seed)
+        unwound += bool(trace.added)
+    assert unwound > 40
+
+
+def _two_cliques(k: int) -> SimpleGraph:
+    """Two copies of K_k sharing vertex k-1: no Hamilton cycle, and no
+    Hamilton path between two vertices of one clique."""
+    m = 2 * k - 1
+    return SimpleGraph(
+        m,
+        [(u, v) for u in range(k) for v in range(u + 1, k)]
+        + [(u, v) for u in range(k - 1, m) for v in range(u + 1, m)],
+    )
+
+
+def test_fallbacks_stop_at_node_budget():
+    # the closure stays incomplete, and an unbounded search runs for
+    # minutes on two K_9 before it could report that nothing exists
+    g = _two_cliques(9)
+    for search in (lambda: hamilton_path_between(g, 0, 1),
+                   lambda: dirac_hamilton_cycle(g)):
+        started = time.monotonic()
+        with pytest.raises(CapExceeded, match=str(FALLBACK_NODE_BUDGET)):
+            search()
+        assert time.monotonic() - started < 10
+    # below the budget the same shapes are still decided
+    with pytest.raises(NotFoundError):
+        hamilton_path_between(_two_cliques(6), 0, 1)
