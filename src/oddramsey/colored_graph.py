@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionFailed
@@ -36,25 +37,39 @@ def edge(u: int, v: int) -> Edge:
 class SimpleGraph:
     """Undirected simple graph on vertices ``0..n-1`` with O(1) adjacency.
 
+    The graph is stored as adjacency rows: bit ``v`` of row ``u`` is set
+    iff ``uv`` is an edge.  The derived graphs (``with_edges``,
+    ``without_edge``, ``induced``, ``add_vertex_with_neighbors``) are built
+    straight from rows; only the pairs they add are validated.
+
     Instances are immutable; "mutators" return new graphs.
     """
 
     __slots__ = ("n", "_rows", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        rows = [0] * n
+        _add_pairs(rows, edges)
+        self._set_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: list[int]) -> "SimpleGraph":
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        return g
+
+    def _set_rows(self, rows: list[int]) -> None:
+        n = len(rows)
         if n < 1:
             raise PreconditionFailed("graph needs at least one vertex")
         self.n = n
-        rows = [0] * n
-        for a, b in edges:
-            e = edge(a, b)
-            if not (0 <= e.u and e.v < n):
-                raise PreconditionFailed(f"edge {e} outside vertex range 0..{n - 1}")
-            rows[e.u] |= 1 << e.v
-            rows[e.v] |= 1 << e.u
         self._rows = tuple(rows)
+        # Neighbor lists from the reversed binary digits of each row: a
+        # C-level pass that beats a per-bit Python loop on dense rows.
+        span = range(n)
         self._nbrs = tuple(
-            tuple(v for v in range(n) if rows[u] >> v & 1) for u in range(n)
+            tuple(compress(span, bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
+            for row in rows
         )
 
     @classmethod
@@ -90,28 +105,36 @@ class SimpleGraph:
         return all(len(nb) == self.n - 1 for nb in self._nbrs)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        return SimpleGraph(self.n, list(self.edges()) + [tuple(e) for e in extra])
+        rows = list(self._rows)
+        _add_pairs(rows, extra)
+        return SimpleGraph._from_rows(rows)
 
     def without_edge(self, e: Edge) -> "SimpleGraph":
-        return SimpleGraph(self.n, (f for f in self.edges() if f != e))
+        rows = list(self._rows)
+        rows[e.u] &= ~(1 << e.v)
+        rows[e.v] &= ~(1 << e.u)
+        return SimpleGraph._from_rows(rows)
 
     def induced(self, keep: Iterable[int]) -> tuple["SimpleGraph", list[int]]:
         """Induced subgraph on ``keep`` plus the new->old vertex id map."""
         old = sorted(set(keep))
         pos = {o: i for i, o in enumerate(old)}
-        es = [
-            (pos[a], pos[b])
-            for a in old
-            for b in self._nbrs[a]
-            if b in pos and a < b
-        ]
-        return SimpleGraph(len(old), es), old
+        rows = []
+        for a in old:
+            row = 0
+            for b in self._nbrs[a]:
+                i = pos.get(b)
+                if i is not None:
+                    row |= 1 << i
+            rows.append(row)
+        return SimpleGraph._from_rows(rows), old
 
     def add_vertex_with_neighbors(self, nbrs: Iterable[int]) -> "SimpleGraph":
         """New graph on n+1 vertices; vertex ``n`` is joined to ``nbrs``."""
         w = self.n
-        es = list(self.edges()) + [(x, w) for x in nbrs]
-        return SimpleGraph(self.n + 1, es)
+        rows = list(self._rows) + [0]
+        _add_pairs(rows, ((x, w) for x in nbrs))
+        return SimpleGraph._from_rows(rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SimpleGraph) and self._rows == other._rows
@@ -121,6 +144,22 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.edge_count()})"
+
+
+# Maps the digits of ``bin(row)`` to the 0/1 bytes ``compress`` selects by.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _add_pairs(rows: list[int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Set the bits of each vertex pair in ``rows``, rejecting self-loops
+    and vertices outside ``0..len(rows)-1``."""
+    n = len(rows)
+    for a, b in pairs:
+        e = edge(a, b)
+        if not (0 <= e.u and e.v < n):
+            raise PreconditionFailed(f"edge {e} outside vertex range 0..{n - 1}")
+        rows[e.u] |= 1 << e.v
+        rows[e.v] |= 1 << e.u
 
 
 def min_degree(g: SimpleGraph) -> int:
@@ -166,9 +205,14 @@ class ParityCensus:
 
 
 class EdgeColoring:
-    """A total map from the host graph's edges to colors ``1..r``."""
+    """A total map from the host graph's edges to colors ``1..r``.
 
-    __slots__ = ("host", "r", "_assignment")
+    ``color_rows(c)`` gives the same map as adjacency rows of color ``c``;
+    the rows are built from the assignment on first use and cached, so
+    colorings that are only parsed and printed never pay for them.
+    """
+
+    __slots__ = ("host", "r", "_assignment", "_color_rows")
 
     def __init__(self, host: SimpleGraph, r: int, assignment: dict[Edge, int]):
         if r < 1:
@@ -184,9 +228,25 @@ class EdgeColoring:
         self.host = host
         self.r = r
         self._assignment = dict(assignment)
+        self._color_rows: tuple[tuple[int, ...], ...] | None = None
 
     def color(self, u: int, v: int) -> int:
         return self._assignment[edge(u, v)]
+
+    def color_rows(self, c: int) -> tuple[int, ...]:
+        """Per-vertex neighbor bitmasks of color ``c``: bit ``v`` of row
+        ``u`` is set iff ``uv`` is a host edge of color ``c``."""
+        if not 1 <= c <= self.r:
+            raise PreconditionFailed(f"color {c} outside palette 1..{self.r}")
+        if self._color_rows is None:
+            n = self.host.n
+            rows = [[0] * n for _ in range(self.r)]
+            for (u, v), col in self._assignment.items():
+                row = rows[col - 1]
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+            self._color_rows = tuple(map(tuple, rows))
+        return self._color_rows[c - 1]
 
     def color_of(self, e: Edge) -> int:
         return self._assignment[e]

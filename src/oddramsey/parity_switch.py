@@ -569,6 +569,11 @@ def _case3(
 # ---------------------------------------------------------------------------
 
 
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def agreement_partition(
     g: SimpleGraph, chi: EdgeColoring
 ) -> AgreementPartition | CycleOrPath:
@@ -578,36 +583,41 @@ def agreement_partition(
     colors.  A mixed pair yields an odd 4-cycle witness; a transitivity or
     class-count violation yields an odd 6-cycle witness; otherwise the
     verified partition (at most two blocks) is returned.
+
+    Pairs are read off adjacency rows: the common neighbors of x and y
+    are ``rows[x] & rows[y]``, and those that see them in different colors
+    are that mask ANDed with ``c1[x] ^ c1[y]`` (``c1`` the color-1 rows).
+    Each witness is the lowest set bit of its mask, so the first mixed pair
+    in lexicographic order gives ``x, a, y, d`` with ``a`` its least
+    agreeing and ``d`` its least disagreeing common neighbor.
     """
     _check_setting(g, chi)
     n = g.n
+    rows = [g.mask(v) for v in range(n)]
+    c1 = chi.color_rows(1)
     verdicts: dict[tuple[int, int], bool] = {}
     table: dict[tuple[int, int], tuple[str, int]] = {}
     for x in range(n):
+        row_x, c1_x = rows[x], c1[x]
         for y in range(x + 1, n):
-            agree_w = disagree_w = None
-            for u in range(n):
-                if not (g.adjacent(x, u) and g.adjacent(y, u)):
-                    continue
-                if chi.color(x, u) == chi.color(y, u):
-                    if agree_w is None:
-                        agree_w = u
-                else:
-                    if disagree_w is None:
-                        disagree_w = u
-                if agree_w is not None and disagree_w is not None:
-                    wit = CycleOrPath((x, agree_w, y, disagree_w), closed=True)
-                    assert_valid_cycle(g, wit, hamilton=False)
-                    if cycle_census(chi, wit).is_even_chromatic():
-                        raise InternalContradiction("mixed pair gave even C4")
-                    return wit
-            if agree_w is None and disagree_w is None:
+            common = row_x & rows[y]
+            dis = common & (c1_x ^ c1[y])
+            agr = common ^ dis
+            if agr and dis:
+                wit = CycleOrPath((x, _lowest(agr), y, _lowest(dis)), closed=True)
+                assert_valid_cycle(g, wit, hamilton=False)
+                if cycle_census(chi, wit).is_even_chromatic():
+                    raise InternalContradiction("mixed pair gave even C4")
+                return wit
+            if not common:
                 raise InternalContradiction(
                     "degree bound guarantees common neighbors"
                 )
-            verdicts[(x, y)] = agree_w is not None
-            wit_u = agree_w if agree_w is not None else disagree_w
-            table[(x, y)] = ("agree" if agree_w is not None else "disagree", wit_u)
+            verdicts[(x, y)] = bool(agr)
+            if agr:
+                table[(x, y)] = ("agree", _lowest(agr))
+            else:
+                table[(x, y)] = ("disagree", _lowest(dis))
 
     block_a = frozenset(
         {0} | {v for v in range(1, n) if verdicts[(0, v)]}

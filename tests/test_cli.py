@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from oddramsey.cli import STATUS_CODES, USAGE_EXIT, main
 from oddramsey.colored_graph import instance_from_json, instance_to_json
 from oddramsey.constructions import random_coloring
+
+from conftest import instance_like
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +191,45 @@ def test_instance_size_outside_cap_is_usage_error(tmp_path, capsys, n):
     code, out, err = run_cli(capsys, "export", "dot", "--input", str(inst))
     assert code == USAGE_EXIT and out == ""
     assert f"instance size n = {n} outside 1..2000" in err
+
+
+def test_input_dash_reads_stdin(tmp_path, capsys, monkeypatch):
+    text = instance_to_json(random_coloring(8, 2, 12))
+    inst = tmp_path / "i.json"
+    inst.write_text(text)
+    for argv in (["find", "even-hamilton"], ["export", "dot"]):
+        code, from_file, _ = run_cli(capsys, *argv, "--input", str(inst))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code_stdin, from_stdin, _ = run_cli(capsys, *argv, "--input", "-")
+        assert code == code_stdin == 0 and from_stdin == from_file
+
+
+@pytest.mark.parametrize("name", ["absent.json", "."])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, name):
+    path = tmp_path / name  # a missing file, or a directory
+    code, out, err = run_cli(capsys, "export", "dot", "--input", str(path))
+    assert code == USAGE_EXIT and out == ""
+    assert f"usage error: cannot read {path}" in err
+
+
+@settings(max_examples=120, deadline=None)
+@given(instance_like())
+def test_cli_parse_boundary_exits_0_or_64(obj):
+    # Twin of the library fuzz test: any JSON document on stdin either
+    # parses (exit 0) or is a usage error (exit 64); no other exception
+    # escapes main.
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(obj))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["export", "dot", "--input", "-"])
+    finally:
+        sys.stdin = saved
+    if code == USAGE_EXIT:
+        assert out.getvalue() == "" and "usage error" in err.getvalue()
+    else:
+        assert code == 0 and "dot" in json.loads(out.getvalue())
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

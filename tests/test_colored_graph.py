@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oddramsey.colored_graph import (
     CycleOrPath,
@@ -11,14 +11,17 @@ from oddramsey.colored_graph import (
     SimpleGraph,
     edge,
     instance_from_json,
+    instance_from_obj,
     instance_to_json,
+    instance_to_obj,
     min_degree,
     parity_census,
     symmetric_difference,
 )
+from oddramsey.constructions import random_edge_coloring, random_min_degree_graph
 from oddramsey.errors import PreconditionFailed
 
-from conftest import coloring_with, mono_coloring
+from conftest import coloring_with, instance_like, mono_coloring
 
 
 @given(st.integers(0, 50), st.integers(0, 50))
@@ -38,6 +41,85 @@ def test_min_degree_examples():
     c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert min_degree(c6) == 2
     assert min_degree(SimpleGraph(1)) == 0
+
+
+def _assert_graph_is(g, n, pairs):
+    """``g`` has exactly the edges ``pairs`` on ``n`` vertices, and equals
+    the graph built from that edge list."""
+    es = {edge(a, b) for a, b in pairs}
+    assert g.n == n
+    for v in range(n):
+        nbrs = tuple(u for u in range(n) if u != v and edge(u, v) in es)
+        assert g.neighbors(v) == nbrs
+        assert g.degree(v) == len(nbrs)
+        assert g.mask(v) == sum(1 << u for u in nbrs)
+    want = SimpleGraph(n, sorted(es))
+    assert g == want and hash(g) == hash(want)
+
+
+@st.composite
+def _graph_and_pairs(draw):
+    n = draw(st.integers(1, 14))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=30 * (n > 1))
+    keep = draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    joined = draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    return n, draw(pairs), draw(pairs), keep, joined
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_pairs())
+def test_rows_built_graphs_match_edge_list_graphs(case):
+    n, base, extra, keep, joined = case
+    g = SimpleGraph(n, base)
+    _assert_graph_is(g, n, base)
+    _assert_graph_is(g.with_edges(extra), n, base + extra)
+    _assert_graph_is(
+        g.add_vertex_with_neighbors(joined), n + 1, base + [(x, n) for x in joined]
+    )
+    for e in {edge(a, b) for a, b in base}:
+        rest = [p for p in base if edge(*p) != e]
+        _assert_graph_is(g.without_edge(e), n, rest)
+    if not keep:
+        with pytest.raises(PreconditionFailed):
+            g.induced(keep)
+        return
+    sub, old = g.induced(keep)
+    assert old == sorted(set(keep))
+    pos = {o: i for i, o in enumerate(old)}
+    kept = [(pos[a], pos[b]) for a, b in base if a in pos and b in pos]
+    _assert_graph_is(sub, len(old), kept)
+
+
+def test_rows_built_graphs_reject_loops_and_out_of_range():
+    g = SimpleGraph(5, [(0, 1)])
+    for bad in [(2, 2), (0, 5), (7, 1), (-1, 3)]:
+        with pytest.raises(PreconditionFailed):
+            g.with_edges([(1, 2), bad])
+        with pytest.raises(PreconditionFailed):
+            SimpleGraph(5, [bad])
+    for bad in [5, 6, -1]:
+        with pytest.raises(PreconditionFailed):
+            g.add_vertex_with_neighbors([0, bad])
+
+
+def test_color_rows_agree_with_color():
+    rng = random.Random(4)
+    for r in range(1, 5):
+        for seed in range(6):
+            n = rng.randrange(2, 16)
+            g = random_min_degree_graph(n, rng.randrange(n), seed)
+            chi = random_edge_coloring(g, r, seed)
+            rows = [chi.color_rows(c) for c in range(1, r + 1)]
+            for u in range(n):
+                assert sum(rows[c][u] for c in range(r)) == g.mask(u)
+                for v in range(n):
+                    for c in range(1, r + 1):
+                        bit = rows[c - 1][u] >> v & 1
+                        assert bit == (g.adjacent(u, v) and chi.color(u, v) == c)
+            for c in (0, r + 1):
+                with pytest.raises(PreconditionFailed):
+                    chi.color_rows(c)
 
 
 def test_census_paired_colors_even():
@@ -181,6 +263,18 @@ def test_instance_parsing_rejections(mutate):
     mutate(obj)
     with pytest.raises(PreconditionFailed):
         instance_from_json(json.dumps(obj))
+
+
+@settings(max_examples=250, deadline=None)
+@given(instance_like())
+def test_instance_parser_accepts_or_raises_precondition(obj):
+    # The parse boundary: no JSON document escapes as another exception.
+    try:
+        chi = instance_from_obj(obj)
+    except PreconditionFailed:
+        return
+    listed = sorted(obj["edges"], key=lambda rec: (rec["u"], rec["v"]))
+    assert instance_to_obj(chi) == {**obj, "edges": listed}
 
 
 def test_instance_rejects_invalid_json():

@@ -316,6 +316,76 @@ def test_agreement_partition_mixed_pair_gives_odd_c4():
     assert cycle_census(chi, res).is_odd_chromatic()
 
 
+def _pair_scan_partition(g, chi):
+    """Reference: the pair-by-pair scan over common neighbors in increasing
+    order, stopping at the first pair with both an agreeing and a
+    disagreeing neighbor, then the block/transitivity pass."""
+    n = g.n
+    verdicts, table = {}, {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            agree_w = disagree_w = None
+            for u in range(n):
+                if not (g.adjacent(x, u) and g.adjacent(y, u)):
+                    continue
+                if chi.color(x, u) == chi.color(y, u):
+                    if agree_w is None:
+                        agree_w = u
+                elif disagree_w is None:
+                    disagree_w = u
+                if agree_w is not None and disagree_w is not None:
+                    return CycleOrPath((x, agree_w, y, disagree_w), closed=True)
+            verdicts[(x, y)] = agree_w is not None
+            wit_u = agree_w if agree_w is not None else disagree_w
+            table[(x, y)] = ("agree" if agree_w is not None else "disagree", wit_u)
+    block_a = frozenset({0} | {v for v in range(1, n) if verdicts[(0, v)]})
+    block_b = frozenset(range(n)) - block_a
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            same = (x in block_a) == (y in block_a)
+            if same == verdicts[(x, y)]:
+                continue
+            if same:
+                trip = (x, 0, y) if x in block_a else (0, x, y)
+            else:
+                trip = (0, x, y) if x in block_a else (0, y, x)
+            return _hexagon_witness(g, chi, trip)
+    classes = (block_a, block_b) if block_b else (block_a,)
+    return AgreementPartition(classes, table)
+
+
+def test_agreement_partition_matches_pair_scan():
+    # Random colorings return a mixed-pair C4 early; planted 2-block
+    # colorings run the full scan; a planted coloring with one flipped
+    # edge returns a C4 from a later pair.
+    partitions = 0
+    for seed in range(210):
+        n = 12 + 2 * (seed % 15)
+        g = random_min_degree_graph(n, n // 2 + 2, seed)
+        kind = ("random", "planted", "flipped")[seed % 3]
+        if kind == "random":
+            chi = random_edge_coloring(g, 2, seed)
+        else:
+            rng = random.Random(seed)
+            signs = [rng.randrange(2) for _ in range(n)]
+            assign = {e: 1 + (signs[e.u] ^ signs[e.v]) for e in g.edges()}
+            if kind == "flipped":
+                e = rng.choice(list(assign))
+                assign[e] = 3 - assign[e]
+            chi = EdgeColoring(g, 2, assign)
+        got = agreement_partition(g, chi)
+        want = _pair_scan_partition(g, chi)
+        if isinstance(want, CycleOrPath):
+            assert isinstance(got, CycleOrPath), (n, seed, kind)
+            assert got.vertices == want.vertices, (n, seed, kind)
+        else:
+            partitions += 1
+            assert isinstance(got, AgreementPartition), (n, seed, kind)
+            assert got.classes == want.classes, (n, seed, kind)
+            assert got.witness_table == want.witness_table, (n, seed, kind)
+    assert partitions >= 70
+
+
 def test_hexagon_witness_is_odd():
     g = SimpleGraph.complete(12)
     chi = coloring_with(12, 2, {(2, 5): 2})
