@@ -21,12 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .colored_graph import (
-    EdgeColoring,
-    ParityCensus,
-    edge,
-    parity_census,
-)
+from .colored_graph import EdgeColoring, ParityCensus, parity_census
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
 
 
@@ -73,9 +68,7 @@ class Bipartition:
 def _bipartite_census(
     chi: EdgeColoring, side_a: tuple[int, ...], side_b: tuple[int, ...]
 ) -> ParityCensus:
-    return parity_census(
-        chi, (edge(a, b) for a in side_a for b in side_b)
-    )
+    return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
 def even_neighborhoods(

@@ -156,9 +156,9 @@ def _to_dot(chi: EdgeColoring) -> str:
     lines.append('  graph [palette="%d"];' % chi.r)
     for v in range(chi.host.n):
         lines.append(f"  {v};")
-    for e, c in chi.items():
+    for (u, v), c in chi.items():
         tone = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
-        lines.append(f'  {e.u} -- {e.v} [label="{c}", color="{tone}"];')
+        lines.append(f'  {u} -- {v} [label="{c}", color="{tone}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -1,9 +1,10 @@
 """Core value types: graphs, edge colorings, parity censuses, cycles/paths.
 
 Vertices are dense integers ``0..n-1`` and colors are integers ``1..r``,
-which keeps adjacency rows as plain bitmask ints and censuses as small
-dicts.  All types are immutable values after construction; every operation
-is a pure function, so instances can be shared freely across threads.
+which keeps adjacency rows as plain bitmask ints, a coloring as one n x n
+table of colors (0 off the host), and censuses as small dicts.  All types
+are immutable values after construction; every operation is a pure
+function, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionFailed
@@ -74,7 +75,8 @@ class SimpleGraph:
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
-        return cls(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+        full = (1 << n) - 1
+        return cls._from_rows([full ^ (1 << v) for v in range(n)])
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self._rows[u] >> v & 1)
@@ -207,52 +209,58 @@ class ParityCensus:
 class EdgeColoring:
     """A total map from the host graph's edges to colors ``1..r``.
 
-    ``color_rows(c)`` gives the same map as adjacency rows of color ``c``;
-    the rows are built from the assignment on first use and cached, so
-    colorings that are only parsed and printed never pay for them.
+    The map is one color table: ``table[u][v]`` is the color of ``uv``, and
+    0 marks a non-edge.  Every read (``color``, the censuses, ``items``,
+    ``color_rows``, the JSON and DOT emitters) indexes it.
     """
 
-    __slots__ = ("host", "r", "_assignment", "_color_rows")
+    __slots__ = ("host", "r", "_table")
 
     def __init__(self, host: SimpleGraph, r: int, assignment: dict[Edge, int]):
         if r < 1:
             raise PreconditionFailed("palette size must be at least 1")
+        n = host.n
+        table = [[0] * n for _ in range(n)]
         for e, c in assignment.items():
-            if not host.has_edge(e):
+            u, v = e
+            if not (0 <= u < n and 0 <= v < n and host.adjacent(u, v)):
                 raise PreconditionFailed(f"colored edge {e} is not in the host graph")
             if not 1 <= c <= r:
                 raise PreconditionFailed(f"color {c} outside palette 1..{r}")
+            table[u][v] = table[v][u] = c
         missing = host.edge_count() - len(assignment)
         if missing:
             raise PreconditionFailed(f"{missing} host edges left uncolored")
-        self.host = host
-        self.r = r
-        self._assignment = dict(assignment)
-        self._color_rows: tuple[tuple[int, ...], ...] | None = None
+        self.host, self.r, self._table = host, r, table
+
+    @classmethod
+    def _from_table(cls, host: SimpleGraph, r: int, table: list) -> "EdgeColoring":
+        # The caller vouches that the nonzero cells are exactly host edges.
+        chi = cls.__new__(cls)
+        chi.host, chi.r, chi._table = host, r, table
+        return chi
 
     def color(self, u: int, v: int) -> int:
-        return self._assignment[edge(u, v)]
+        """Color of the host edge ``uv``; a non-edge raises."""
+        n = self.host.n
+        if 0 <= u < n and 0 <= v < n and self._table[u][v]:
+            return self._table[u][v]
+        raise PreconditionFailed(f"edge {u}-{v} is not in the coloring's host graph")
 
     def color_rows(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks of color ``c``: bit ``v`` of row
         ``u`` is set iff ``uv`` is a host edge of color ``c``."""
         if not 1 <= c <= self.r:
             raise PreconditionFailed(f"color {c} outside palette 1..{self.r}")
-        if self._color_rows is None:
-            n = self.host.n
-            rows = [[0] * n for _ in range(self.r)]
-            for (u, v), col in self._assignment.items():
-                row = rows[col - 1]
-                row[u] |= 1 << v
-                row[v] |= 1 << u
-            self._color_rows = tuple(map(tuple, rows))
-        return self._color_rows[c - 1]
+        return tuple(
+            sum(1 << v for v, x in enumerate(row) if x == c) for row in self._table
+        )
 
-    def color_of(self, e: Edge) -> int:
-        return self._assignment[e]
-
-    def items(self) -> Iterator[tuple[Edge, int]]:
-        yield from sorted(self._assignment.items())
+    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """``((u, v), color)`` per host edge, ``u < v``, lexicographically."""
+        for u, row in enumerate(self._table):
+            for v in compress(range(u + 1, len(row)), row[u + 1 :]):
+                yield (u, v), row[v]
 
     def __repr__(self) -> str:
         return f"EdgeColoring(n={self.host.n}, r={self.r})"
@@ -312,18 +320,15 @@ class CycleOrPath:
                 raise PreconditionFailed(f"edge {e} not present in host graph")
 
 
-def parity_census(coloring: EdgeColoring, edges_: Iterable[Edge]) -> ParityCensus:
-    """Count color occurrences over ``edges_`` (which must be host edges)."""
-    counts: Counter[int] = Counter()
-    for e in edges_:
-        if not coloring.host.has_edge(e):
-            raise PreconditionFailed(f"edge {e} is not in the coloring's host graph")
-        counts[coloring.color_of(e)] += 1
-    return ParityCensus(dict(counts))
+def parity_census(coloring: EdgeColoring, pairs: Iterable[tuple]) -> ParityCensus:
+    """Count color occurrences over ``pairs`` (vertex pairs; host edges)."""
+    return ParityCensus(dict(Counter(starmap(coloring.color, pairs))))
 
 
 def cycle_census(coloring: EdgeColoring, cycle: CycleOrPath) -> ParityCensus:
-    return parity_census(coloring, cycle.edges())
+    vs = cycle.vertices
+    succ = vs[1:] + vs[:1] if cycle.closed else vs[1:]
+    return parity_census(coloring, zip(vs, succ))
 
 
 def symmetric_difference(c1: CycleOrPath, c2: CycleOrPath) -> set[Edge]:
@@ -351,9 +356,7 @@ def instance_to_obj(coloring: EdgeColoring) -> dict:
     return {
         "n": coloring.host.n,
         "r": coloring.r,
-        "edges": [
-            {"u": e.u, "v": e.v, "c": c} for e, c in coloring.items()
-        ],
+        "edges": [{"u": u, "v": v, "c": c} for (u, v), c in coloring.items()],
     }
 
 
@@ -372,8 +375,8 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
         raise PreconditionFailed(
             f"instance size n = {n} outside 1..{MAX_INSTANCE_N}"
         )
-    seen: dict[Edge, int] = {}
-    pairs = []
+    table = [[0] * n for _ in range(n)]
+    rows = [0] * n
     for item in raw:
         try:
             u, v, c = item["u"], item["v"], item["c"]
@@ -389,15 +392,17 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
             raise PreconditionFailed(f"edge {u}-{v} must be listed with u < v")
         if not (0 <= u and v < n):
             raise PreconditionFailed(f"edge {u}-{v} outside vertex range")
-        e = Edge(u, v)
-        if e in seen:
+        row = table[u]
+        if row[v]:
             raise PreconditionFailed(f"duplicate edge {u}-{v}")
         if not 1 <= c <= r:
             raise PreconditionFailed(f"color {c} outside palette 1..{r}")
-        seen[e] = c
-        pairs.append((u, v))
-    host = SimpleGraph(n, pairs)
-    return EdgeColoring(host, r, seen)
+        row[v] = table[v][u] = c
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if r < 1:
+        raise PreconditionFailed("palette size must be at least 1")
+    return EdgeColoring._from_table(SimpleGraph._from_rows(rows), r, table)
 
 
 def instance_to_json(coloring: EdgeColoring) -> str:

@@ -94,7 +94,7 @@ def bondy_chvatal_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
                     w = low.bit_length() - 1
                     heappush(heap, (x, w) if x < w else (w, x))
                     m ^= low
-    closure = g.with_edges(e for e, _ in added)
+    closure = SimpleGraph._from_rows(rows)
     return ClosureTrace(g, threshold, tuple(added), closure)
 
 

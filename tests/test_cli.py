@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -8,7 +9,11 @@ from hypothesis import given, settings
 
 from oddramsey.cli import STATUS_CODES, USAGE_EXIT, main
 from oddramsey.colored_graph import instance_from_json, instance_to_json
-from oddramsey.constructions import random_coloring
+from oddramsey.constructions import (
+    random_coloring,
+    random_edge_coloring,
+    random_min_degree_graph,
+)
 
 from conftest import instance_like
 
@@ -251,3 +256,87 @@ def test_stdout_byte_identical(tmp_path, capsys):
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2, argv
+
+
+# SHA-256 of each command's stdout, taken before the color table replaced
+# the edge-keyed color map.  A change of representation must not change a
+# single output byte.
+PINNED_STDOUT_SHA256 = {
+    "gen-random-12": (
+        0,
+        "91a5a8633d44cdcaac1b04e1c84d79e608bb7cc5f226e8fb33e98bcc23f45e7b",
+    ),
+    "construct-unique-upper-10": (
+        0,
+        "9a9aecab0ff6ca7a13e8570c7bb26987b2c1bf45ec4588893eb90839e6ee84a0",
+    ),
+    "export-dot": (
+        0,
+        "5aa62ef87999037acd07ad9143892a28425ffd14224d715579b6886010b8dc88",
+    ),
+    "find-even-hamilton-20": (
+        0,
+        "f9b9dd4ee82decff1b50dda936b8417423d973a368d50fc6093bb5d29dae72ba",
+    ),
+    "find-unique-free-16": (
+        0,
+        "aedea1c8e9bf629d0a15894902819aaf641c66e6f7d265c7e2d291c0da8e1e08",
+    ),
+    "find-even-kst-14": (
+        0,
+        "718073cd842741133039ad872644a18cd22a5386c1f7cea1acd802b52760d092",
+    ),
+    "verify-cycles-8": (
+        0,
+        "1969e333989f4acf3448c7e8e61efd5e7ebf3dd1faf5df96a63e95d0fc86fc52",
+    ),
+    "oracle-exact-6": (
+        0,
+        "1194b04027c0e968ec3e06634717aef9ffd67b486211b9edc15d014e42c63d82",
+    ),
+}
+
+
+def _pinned_outputs(tmp_path, capsys) -> dict[str, tuple[int, str]]:
+    """Exit code and stdout of a small fixed command set, by name."""
+    out: dict[str, tuple[int, str]] = {}
+
+    def run(name, *argv):
+        code, text, _ = run_cli(capsys, *argv)
+        out[name] = (code, text)
+        return text
+
+    def written(name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        return str(path)
+
+    gen12 = written("gen12", run("gen-random-12", "gen", "random", "--n", "12",
+                                 "--r", "3", "--seed", "1"))
+    run("construct-unique-upper-10", "construct", "unique-upper", "--n", "10")
+    run("export-dot", "export", "dot", "--input", gen12)
+    floor20 = random_min_degree_graph(20, 12, 1)  # delta >= n/2 + 2
+    run("find-even-hamilton-20", "find", "even-hamilton", "--input",
+        written("floor20", instance_to_json(random_edge_coloring(floor20, 2, 1))))
+    _, gen16, _ = run_cli(capsys, "gen", "random", "--n", "16", "--r", "4",
+                          "--seed", "1")
+    run("find-unique-free-16", "find", "unique-free", "--input",
+        written("gen16", gen16))
+    _, gen14, _ = run_cli(capsys, "gen", "random", "--n", "14", "--r", "2",
+                          "--seed", "1")
+    run("find-even-kst-14", "find", "even-kst", "--input", written("gen14", gen14),
+        "--s", "3", "--t", "4")
+    run("verify-cycles-8", "verify", "cycles", "--input",
+        written("gen8", instance_to_json(random_coloring(8, 2, 1))),
+        "--predicate", "odd-chromatic")
+    run("oracle-exact-6", "oracle", "exact", "--n", "6", "--mode", "odd",
+        "--r", "2")
+    return out
+
+
+def test_stdout_pinned_across_commits(tmp_path, capsys):
+    got = {
+        name: (code, hashlib.sha256(text.encode()).hexdigest())
+        for name, (code, text) in _pinned_outputs(tmp_path, capsys).items()
+    }
+    assert got == PINNED_STDOUT_SHA256

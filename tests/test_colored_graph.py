@@ -108,8 +108,22 @@ def test_color_rows_agree_with_color():
     for r in range(1, 5):
         for seed in range(6):
             n = rng.randrange(2, 16)
-            g = random_min_degree_graph(n, rng.randrange(n), seed)
-            chi = random_edge_coloring(g, r, seed)
+            if seed % 3 == 0:
+                g = SimpleGraph.complete(n)
+            else:
+                g = random_min_degree_graph(n, rng.randrange(n), seed)
+            assignment = {e: rng.randint(1, r) for e in g.edges()}
+            chi = EdgeColoring(g, r, assignment)
+            assert list(chi.items()) == sorted(assignment.items())
+            for (u, v), c in assignment.items():
+                assert chi.color(u, v) == chi.color(v, u) == c
+            # non-edges, u == v included, then negative and out-of-range ids
+            off = [(u, v) for u in range(n) for v in range(n) if not g.adjacent(u, v)]
+            for u, v in off + [(-1, 1), (0, -1), (0, n), (n, 0), (n, n + 1)]:
+                with pytest.raises(PreconditionFailed):
+                    chi.color(u, v)
+            with pytest.raises(PreconditionFailed):
+                parity_census(chi, [(-1, 2)])
             rows = [chi.color_rows(c) for c in range(1, r + 1)]
             for u in range(n):
                 assert sum(rows[c][u] for c in range(r)) == g.mask(u)

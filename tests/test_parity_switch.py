@@ -121,7 +121,7 @@ def test_switch_c6_case_12_profile():
 def test_switch_c6_case_12_delegates_on_odd_pretest():
     g, chi0 = _case12_instance()
     # make the corner pre-test 4-cycle odd: recolor one hexagon edge at a
-    assign = {e: chi0.color_of(e) for e in g.edges()}
+    assign = {e: chi0.color(*e) for e in g.edges()}
     assign[edge(0, 1)] = 2
     assign[edge(1, 2)] = 1
     chi = EdgeColoring(g, 2, assign)
