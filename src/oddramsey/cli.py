@@ -15,7 +15,6 @@ import os
 import sys
 import time
 
-from . import bipartite_even, constructions, parity_switch, unique_finder
 from .colored_graph import (
     EdgeColoring,
     cycle_census,
@@ -30,7 +29,6 @@ from .errors import (
     OddRamseyError,
     PreconditionFailed,
 )
-from .hamilton import ENUMERATION_CAP
 
 STATUS_CODES = {
     "ok": 0,
@@ -72,6 +70,8 @@ def _read_instance(path: str) -> EdgeColoring:
 
 
 def _enum_cap() -> int:
+    from .hamilton import ENUMERATION_CAP
+
     raw = os.environ.get("ODDRAMSEY_MAX_N")
     if raw is None:
         return ENUMERATION_CAP
@@ -164,8 +164,14 @@ def _to_dot(chi: EdgeColoring) -> str:
 
 
 def dispatch(args) -> tuple[str, dict]:
-    """Route to the owning module; returns (status, stdout payload)."""
+    """Route to the owning module; returns (status, stdout payload).
+
+    Each branch imports only the module it calls, so a command does not
+    pay for loading the pipelines it never runs.
+    """
     if args.group == "find" and args.op == "even-hamilton":
+        from . import parity_switch
+
         chi = _read_instance(args.input)
         out = parity_switch.find_even_hamilton_2col(chi.host, chi)
         return "ok", {
@@ -174,6 +180,8 @@ def dispatch(args) -> tuple[str, dict]:
             "census": _census_obj(cycle_census(chi, out.cycle)),
         }
     if args.group == "find" and args.op == "unique-free":
+        from . import unique_finder
+
         chi = _read_instance(args.input)
         res = unique_finder.find_unique_free_hamilton(
             chi, best_effort=args.best_effort
@@ -200,6 +208,8 @@ def dispatch(args) -> tuple[str, dict]:
             },
         }
     if args.group == "find" and args.op == "even-kst":
+        from . import bipartite_even
+
         chi = _read_instance(args.input)
         res = bipartite_even.find_even_chromatic_kst(
             chi, args.s, args.t, t_prime=args.t_prime, retry_w=args.retry_w
@@ -213,10 +223,14 @@ def dispatch(args) -> tuple[str, dict]:
             "census": _census_obj(census),
         }
     if args.group == "construct":
+        from . import constructions
+
         # Bare instance document: the output pipes into any --input slot.
         chi = constructions.unique_upper_coloring(args.n)
         return "ok", instance_to_obj(chi)
     if args.group == "oracle":
+        from . import constructions
+
         res = constructions.exact_ramsey(args.n, args.mode, args.r)
         payload = {
             "exists": res.exists,
@@ -227,9 +241,13 @@ def dispatch(args) -> tuple[str, dict]:
             payload["witness"] = instance_to_obj(res.witness)
         return "ok", payload
     if args.group == "gen":
+        from . import constructions
+
         chi = constructions.random_coloring(args.n, args.r, args.seed)
         return "ok", instance_to_obj(chi)
     if args.group == "verify":
+        from . import constructions
+
         chi = _read_instance(args.input)
         holds, counterexample = constructions.verify_every_cycle(
             chi, args.predicate, cap=_enum_cap()

@@ -8,11 +8,17 @@ The exact oracle enumerates colorings canonically up to color-class
 permutation (the first edge gets color 1 and each new color is introduced
 in order), pruning a branch as soon as some fully-colored Hamilton cycle
 violates the requested predicate.
+
+:func:`verify_every_cycle` checks one coloring without listing its
+Hamilton cycles: a Held–Karp table over (visited set, endpoint) holds the
+color states the paths from vertex 0 can reach, and a walk over the table
+recovers the first failing cycle of the canonical enumeration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .colored_graph import (
     CycleOrPath,
@@ -21,7 +27,7 @@ from .colored_graph import (
     SimpleGraph,
     cycle_census,
 )
-from .errors import CapExceeded, PreconditionFailed
+from .errors import CapExceeded, InternalContradiction, PreconditionFailed
 from .hamilton import ENUMERATION_CAP, enumerate_hamilton_cycles
 
 _MASK64 = (1 << 64) - 1
@@ -69,13 +75,126 @@ _PREDICATES = {
 }
 
 
+# Color states the verification table may hold, summed over its cells.
+# The largest table the test suite builds, unique-upper n=12 under
+# has-unique-color, holds about 372,000.
+TABLE_STATE_BUDGET = 1_000_000
+
+
+def _state_rules(predicate: str, r: int):
+    """``(unit, extend, combine, violates)`` for the predicate's color states.
+
+    ``unit(c)`` is the state of one edge of color c, ``extend(states, e)``
+    adds such an edge to each state of a set, ``combine`` joins the states
+    of two edge-disjoint paths, and ``violates`` tests a whole cycle.  The
+    parity predicates keep one bit per color, set when the color is seen
+    an odd number of times.  has-unique-color keeps a two-bit count per
+    color that saturates at 2, so the "seen once" bits sit at the even
+    positions.
+    """
+    if predicate != "has-unique-color":
+        return (
+            lambda c: 1 << (c - 1),
+            lambda states, e: {s ^ e for s in states},
+            int.__xor__,
+            (lambda x: x == 0) if predicate == "odd-chromatic" else bool,
+        )
+    once = (4**r - 1) // 3
+
+    def combine(a: int, b: int) -> int:
+        many = (a | b) >> 1 & once | a & b & once
+        return many << 1 | (a | b) & once & ~many
+
+    return (
+        lambda c: 1 << 2 * (c - 1),
+        lambda states, e: {s if s & e << 1 else s + e for s in states},
+        combine,
+        lambda x: not x & once,
+    )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _path_state_table(units: list[list[int]], rows: list[int], extend):
+    """Held–Karp table over the paths from vertex 0, or None past the budget.
+
+    ``table[mask][v]`` is the set of color states of the paths that start
+    at 0, end at v and visit exactly the vertices of ``mask``.  Each layer
+    adds one vertex; equal state sets share one frozenset.
+    """
+    layer = {1: {0: frozenset((0,))}}
+    table = dict(layer)
+    shared: dict[frozenset, frozenset] = {}
+    stored = 1
+    for _ in range(len(rows) - 1):
+        grown: dict[int, dict[int, set[int]]] = {}
+        for mask, cells in layer.items():
+            for v, states in cells.items():
+                for w in _bits(rows[v] & ~mask):
+                    out = grown.setdefault(mask | 1 << w, {}).setdefault(w, set())
+                    before = len(out)
+                    out |= extend(states, units[v][w])
+                    stored += len(out) - before
+                    if stored > TABLE_STATE_BUDGET:
+                        return None
+        layer = {
+            mask: {w: shared.setdefault(fs := frozenset(out), fs)
+                   for w, out in cells.items()}
+            for mask, cells in grown.items()
+        }
+        table.update(layer)
+    return table
+
+
+def _first_violating_cycle(table, units, rows, combine, violates):
+    """The lexicographically first violating closed Hamilton path from 0.
+
+    Each step takes the smallest unvisited neighbour w whose completion can
+    still violate: some path from 0 to w through the unvisited vertices
+    (that path reversed closes the cycle) combines with the prefix into a
+    violating state.  The first such path is canonical, since its reversal
+    would violate too and be smaller, so it is the first failing cycle of
+    the canonical enumeration.  None when no cycle violates.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    path, mask, state = [0], 1, 0
+    while len(path) < n:
+        u = path[-1]
+        cells = table.get(full ^ mask | 1, {})
+        for w in _bits(rows[u] & ~mask):
+            step = combine(state, units[u][w])
+            if any(violates(combine(step, t)) for t in cells.get(w, ())):
+                break
+        else:
+            if u == 0:
+                return None
+            raise InternalContradiction(f"no violating completion of {path}")
+        path.append(w)
+        mask |= 1 << w
+        state = step
+    return CycleOrPath(tuple(path), closed=True)
+
+
 def verify_every_cycle(
     chi: EdgeColoring, predicate: str, cap: int = ENUMERATION_CAP
 ) -> tuple[bool, CycleOrPath | None]:
     """Check the predicate on every Hamilton cycle of the host.
 
     Returns (True, None) or (False, first failing cycle in canonical
-    enumeration order).
+    enumeration order).  No cycle is listed: a Held–Karp table carries the
+    color states of the paths from vertex 0 (see ``_state_rules``), the
+    predicate fails iff some closed path reaches a violating state, and a
+    greedy walk over the table recovers the first failing cycle, which is
+    re-checked by its census.  A table that would hold more than
+    ``TABLE_STATE_BUDGET`` states is dropped for the canonical enumeration.
+    Hosts above ``cap`` vertices raise CapExceeded.
     """
     try:
         pred = _PREDICATES[predicate]
@@ -83,10 +202,29 @@ def verify_every_cycle(
         raise PreconditionFailed(
             f"unknown predicate {predicate!r}; choose from {sorted(_PREDICATES)}"
         ) from None
-    for cyc in enumerate_hamilton_cycles(chi.host, cap):
-        if not pred(cycle_census(chi, cyc)):
-            return False, cyc
-    return True, None
+    n = chi.host.n
+    if n > cap:
+        raise CapExceeded(f"enumeration capped at n <= {cap}, got n = {n}")
+    if n < 3:
+        return True, None
+    unit, extend, combine, violates = _state_rules(predicate, chi.r)
+    rows = [chi.host.mask(v) for v in range(n)]
+    units = [
+        [unit(chi.color(v, w)) if rows[v] >> w & 1 else 0 for w in range(n)]
+        for v in range(n)
+    ]
+    table = _path_state_table(units, rows, extend)
+    if table is None:
+        for cyc in enumerate_hamilton_cycles(chi.host, cap):
+            if not pred(cycle_census(chi, cyc)):
+                return False, cyc
+        return True, None
+    cyc = _first_violating_cycle(table, units, rows, combine, violates)
+    if cyc is None:
+        return True, None
+    if pred(cycle_census(chi, cyc)):
+        raise InternalContradiction(f"table counterexample {cyc.vertices} holds")
+    return False, cyc
 
 
 @dataclass(frozen=True)

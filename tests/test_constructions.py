@@ -1,7 +1,9 @@
 import pytest
 
+from oddramsey import constructions
 from oddramsey.colored_graph import (
     CycleOrPath,
+    EdgeColoring,
     SimpleGraph,
     cycle_census,
     edge,
@@ -16,7 +18,8 @@ from oddramsey.constructions import (
     unique_upper_coloring,
     verify_every_cycle,
 )
-from oddramsey.errors import CapExceeded, PreconditionFailed
+from oddramsey.errors import CapExceeded, InternalContradiction, PreconditionFailed
+from oddramsey.hamilton import enumerate_hamilton_cycles
 
 from conftest import mono_coloring
 
@@ -57,6 +60,95 @@ def test_verify_every_cycle_modes():
         verify_every_cycle(mono, "no-such-predicate")
     with pytest.raises(CapExceeded):
         verify_every_cycle(mono_coloring(13), "even-chromatic")
+
+
+_REFERENCE_PREDICATES = {
+    "has-unique-color": lambda census: census.has_unique_color(),
+    "odd-chromatic": lambda census: census.is_odd_chromatic(),
+    "even-chromatic": lambda census: census.is_even_chromatic(),
+}
+
+
+def _verify_by_enumeration(chi, predicate):
+    """The enumeration loop that verify_every_cycle replaced, as reference."""
+    pred = _REFERENCE_PREDICATES[predicate]
+    for cyc in enumerate_hamilton_cycles(chi.host):
+        if not pred(cycle_census(chi, cyc)):
+            return False, cyc
+    return True, None
+
+
+def _small_instances(count):
+    """Seeded random colorings of sparse-to-dense hosts, n = 3..9."""
+    for i in range(count):
+        n = 9 if i % 20 == 19 else 3 + i % 6
+        dmin = max(0, n // 2 - 1) + i // 6 % 3
+        host = random_min_degree_graph(n, min(dmin, n - 1), 1000 + i)
+        yield random_edge_coloring(host, 1 + i // 18 % 4, 2000 + i)
+
+
+def test_verify_table_matches_enumeration():
+    queries = failures = 0
+    for chi in _small_instances(240):
+        for predicate in _REFERENCE_PREDICATES:
+            got = verify_every_cycle(chi, predicate)
+            want = _verify_by_enumeration(chi, predicate)
+            assert got[0] == want[0], (chi, predicate)
+            if not want[0]:
+                assert got[1].closed
+                assert got[1].vertices == want[1].vertices, (chi, predicate)
+                failures += 1
+            else:
+                assert got[1] is None
+            queries += 1
+    assert queries >= 450 and failures >= 150
+
+
+def test_verify_over_budget_runs_the_enumeration(monkeypatch):
+    listed = []
+
+    def counting_enumeration(g, cap):
+        for cyc in enumerate_hamilton_cycles(g, cap):
+            listed.append(cyc)
+            yield cyc
+
+    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles", counting_enumeration)
+    cases = [(chi, p) for chi in _small_instances(12) for p in _REFERENCE_PREDICATES]
+    by_table = [verify_every_cycle(chi, p) for chi, p in cases]
+    assert listed == []
+    monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 5)
+    for (chi, p), want in zip(cases, by_table):
+        got = verify_every_cycle(chi, p)
+        assert got[0] == want[0]
+        assert (got[1] and got[1].vertices) == (want[1] and want[1].vertices)
+    assert len(listed) > len(cases)
+
+
+def test_verify_rechecks_the_located_cycle(monkeypatch):
+    chi = mono_coloring(5)
+    holding = CycleOrPath((0, 1, 2, 3, 4), closed=True)
+    monkeypatch.setattr(
+        constructions, "_first_violating_cycle", lambda *args: holding
+    )
+    with pytest.raises(InternalContradiction):
+        verify_every_cycle(chi, "odd-chromatic")
+
+
+def test_verify_edges_of_the_range():
+    with pytest.raises(CapExceeded, match=r"^enumeration capped at n <= 12, got n = 13$"):
+        verify_every_cycle(mono_coloring(13), "has-unique-color")
+    single = EdgeColoring(SimpleGraph(1, []), 1, {})
+    for chi in (single, mono_coloring(2)):
+        for predicate in _REFERENCE_PREDICATES:
+            assert verify_every_cycle(chi, predicate) == (True, None)
+
+
+def test_upper_coloring_n12_verified_by_table():
+    # 19,958,400 Hamilton cycles; the table stores about 372,000 states
+    assert verify_every_cycle(unique_upper_coloring(12), "has-unique-color") == (
+        True,
+        None,
+    )
 
 
 def test_exact_ramsey_forced_small_cases():
