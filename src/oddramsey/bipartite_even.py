@@ -71,36 +71,52 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
-def even_neighborhoods(
-    chi: EdgeColoring, u: int, s_prime: int
-) -> Iterator[frozenset[int]]:
-    """All vertex sets S of size s' whose star at u has an all-even census.
+def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> Iterator[int]:
+    """The even s'-neighborhoods of u as vertex bitmasks, lazily.
 
     Every such S splits into even-size blocks inside u's color classes, so
     choosing an even-size subset per class enumerates each S exactly once.
-    Classes are visited in color order and subsets lexicographically.
+    Classes are visited in color order and subsets lexicographically; a
+    mask is the sum of ``1 << v`` over the chosen vertices.
     """
     if s_prime < 2 or s_prime % 2 == 1:
         raise PreconditionFailed("even neighborhoods need even s' >= 2")
     by_color: dict[int, list[int]] = {}
     for v in chi.host.neighbors(u):
-        by_color.setdefault(chi.color(u, v), []).append(v)
-    classes = [sorted(by_color[c]) for c in sorted(by_color)]
+        by_color.setdefault(chi.color(u, v), []).append(1 << v)
+    # neighbors() is increasing, so each class lists its bits in vertex order.
+    classes = [by_color[c] for c in sorted(by_color)]
 
-    def rec(i: int, need: int) -> Iterator[tuple[int, ...]]:
-        if need == 0:
-            yield ()
-            return
+    def rec(i: int, need: int) -> Iterator[int]:
         if i >= len(classes):
             return
-        cls = classes[i]
-        for k in range(0, min(len(cls), need) + 1, 2):
-            for chosen in combinations(cls, k):
+        bits = classes[i]
+        for k in range(0, min(len(bits), need) + 1, 2):
+            if k == need:
+                yield from map(sum, combinations(bits, k))
+                return
+            for chosen in combinations(bits, k):
+                m = sum(chosen)
                 for rest in rec(i + 1, need - k):
-                    yield chosen + rest
+                    yield m | rest
 
-    for picked in rec(0, s_prime):
-        yield frozenset(picked)
+    return rec(0, s_prime)
+
+
+def even_neighborhoods(
+    chi: EdgeColoring, u: int, s_prime: int
+) -> Iterator[frozenset[int]]:
+    """All vertex sets S of size s' whose star at u has an all-even census.
+
+    The masks of ``_even_masks``, in its order, decoded to frozensets, so
+    this view and the strongly-even index share one enumerator.
+    """
+    return (frozenset(_bits(m)) for m in _even_masks(chi, u, s_prime))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask`` in increasing order."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def find_strongly_even(
@@ -108,8 +124,9 @@ def find_strongly_even(
 ) -> StronglyEvenWitness | Miss:
     """Search for a strongly-even-chromatic K_{s',t'} by double counting.
 
-    Every even s'-neighborhood is indexed by its vertex set; a set owned by
-    t' distinct vertices is a witness.  The index is exhaustive, so a miss
+    Every even s'-neighborhood is indexed by its vertex bitmask from
+    ``_even_masks``; a set owned by t' distinct vertices is a witness, and
+    only that mask is decoded.  The index is exhaustive, so a miss
     certifies that no witness exists.
     """
     n = chi.host.n
@@ -120,13 +137,13 @@ def find_strongly_even(
         if n < t_prime:
             return Miss("not_found", "strongly-even")
         return StronglyEvenWitness((), tuple(range(t_prime)))
-    owners: dict[frozenset[int], list[int]] = {}
+    owners: dict[int, list[int]] = {}
     for u in range(n):
-        for s_set in even_neighborhoods(chi, u, s_prime):
-            got = owners.setdefault(s_set, [])
+        for mask in _even_masks(chi, u, s_prime):
+            got = owners.setdefault(mask, [])
             got.append(u)
             if len(got) == t_prime:
-                return StronglyEvenWitness(tuple(sorted(s_set)), tuple(got))
+                return StronglyEvenWitness(_bits(mask), tuple(got))
     return Miss("not_found", "strongly-even")
 
 

@@ -211,7 +211,8 @@ class EdgeColoring:
 
     The map is one color table: ``table[u][v]`` is the color of ``uv``, and
     0 marks a non-edge.  Every read (``color``, the censuses, ``items``,
-    ``color_rows``, the JSON and DOT emitters) indexes it.
+    ``color_rows``, ``colors_present``, the JSON and DOT emitters) indexes
+    it.
     """
 
     __slots__ = ("host", "r", "_table")
@@ -255,6 +256,10 @@ class EdgeColoring:
         return tuple(
             sum(1 << v for v, x in enumerate(row) if x == c) for row in self._table
         )
+
+    def colors_present(self) -> set[int]:
+        """The colors that occur on at least one host edge."""
+        return set().union(*self._table) - {0}
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """``((u, v), color)`` per host edge, ``u < v``, lexicographically."""

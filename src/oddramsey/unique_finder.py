@@ -304,8 +304,7 @@ def harvest_cherries_matchings(
     # A color with no occurrence at all can never reach count one; treating
     # it as unused would only poison the counting (relevant for oversized
     # best-effort palettes).
-    present = {c for _, c in chi.items()}
-    for c in sorted(ledger.unused - present):
+    for c in sorted(ledger.unused - chi.colors_present()):
         ledger.free_color(c, "absent")
     for c in sorted(ledger.unused):
         cherry = None
@@ -409,12 +408,23 @@ def merge_endpoints(
     (i) merge two paths across a free-colored endpoint edge; (ii) two
     same-colored unused endpoint edges on four distinct endpoints merge
     twice at once (across four paths, or chained through a middle path)
-    and free their color.
+    and free their color.  Each rule takes the lexicographically first
+    cross pair (endpoints of two different paths) it applies to.
+
+    Rule (i) runs as one forward pass over the cross pairs listed once.
+    The pass is exact: paths only grow at their ends and never split, so a
+    pair that stops being a cross pair never becomes one again, and rule
+    (i) frees no color, so a skipped pair stays skipped.  Each merge of the
+    pass is the first pair a fresh listing would find.  A pass leaves no
+    free-colored cross pair, and ``unused`` and ``free`` partition the
+    palette (twin gadget colors included), so every cross pair rule (ii)
+    sees carries an unused color.  When rule (ii) fires, the color it
+    frees may open pairs before the pass's position, so the pass restarts
+    on a fresh listing.
     """
     col = coll.color_fn(chi)
 
-    def cross_pairs() -> list[tuple[int, int]]:
-        idx = _endpoint_index(coll)
+    def cross_pairs(idx: dict[int, int]) -> list[tuple[int, int]]:
         eps = sorted(idx)
         return [
             (w1, w2)
@@ -423,21 +433,23 @@ def merge_endpoints(
             if idx[w1] != idx[w2]
         ]
 
-    def rule_i() -> bool:
-        for w1, w2 in cross_pairs():
-            if col(w1, w2) in ledger.free:
+    def rule_i_pass() -> None:
+        idx = _endpoint_index(coll)
+        for w1, w2 in cross_pairs(idx):
+            i, j = idx.get(w1), idx.get(w2)
+            if i is None or j is None or i == j:
+                continue
+            c = col(w1, w2)
+            if c in ledger.free:
                 _merge_at(coll, w1, w2)
-                ledger.note("endpoint-merge", at=[w1, w2], color=col(w1, w2))
-                return True
-        return False
+                ledger.note("endpoint-merge", at=[w1, w2], color=c)
+                idx = _endpoint_index(coll)
 
     def rule_ii() -> bool:
-        pairs = cross_pairs()
         idx = _endpoint_index(coll)
+        pairs = cross_pairs(idx)
         for a, e1 in enumerate(pairs):
             c = col(*e1)
-            if c not in ledger.unused:
-                continue
             for e2 in pairs[a + 1 :]:
                 if col(*e2) != c or set(e1) & set(e2):
                     continue
@@ -452,11 +464,9 @@ def merge_endpoints(
                 return True
         return False
 
-    progressed = True
-    while progressed:
-        while rule_i():
-            pass
-        progressed = rule_ii()
+    rule_i_pass()
+    while rule_ii():
+        rule_i_pass()
 
     counts: dict[int, int] = {}
     for p in coll.paths:

@@ -109,6 +109,66 @@ def test_strongly_even_agrees_with_bruteforce():
             assert not expected
 
 
+def _reference_even_subsets(chi, u, s):
+    """The even s-neighborhoods of u, enumerated as before the bitmask
+    index: classes in color order, subsets lexicographically."""
+    by_color = {}
+    for v in chi.host.neighbors(u):
+        by_color.setdefault(chi.color(u, v), []).append(v)
+    classes = [sorted(by_color[c]) for c in sorted(by_color)]
+
+    def rec(i, need):
+        if need == 0:
+            yield ()
+            return
+        if i >= len(classes):
+            return
+        cls = classes[i]
+        for k in range(0, min(len(cls), need) + 1, 2):
+            for chosen in combinations(cls, k):
+                for rest in rec(i + 1, need - k):
+                    yield chosen + rest
+
+    return [frozenset(x) for x in rec(0, s)]
+
+
+def _reference_strongly_even(chi, sp, tp):
+    """The frozenset-keyed double-counting index on even_neighborhoods."""
+    owners = {}
+    for u in range(chi.host.n):
+        for s_set in even_neighborhoods(chi, u, sp):
+            got = owners.setdefault(s_set, [])
+            got.append(u)
+            if len(got) == tp:
+                return StronglyEvenWitness(tuple(sorted(s_set)), tuple(got))
+    return Miss("not_found", "strongly-even")
+
+
+def test_even_neighborhoods_keep_their_order():
+    rng = random.Random(5)
+    for trial in range(30):
+        n = rng.randrange(6, 14)
+        chi = random_coloring(n, rng.randrange(1, 5), trial)
+        u, s = rng.randrange(n), rng.choice([2, 4, 6])
+        got = list(even_neighborhoods(chi, u, s))
+        assert got == _reference_even_subsets(chi, u, s)
+
+
+def test_strongly_even_matches_frozenset_index():
+    rng = random.Random(23)
+    outcomes = set()
+    for trial in range(60):
+        sp = rng.choice([2, 4, 6])
+        # Keep the full scan of a miss small: larger s' on smaller hosts.
+        n = rng.randrange(10, {2: 41, 4: 23, 6: 15}[sp])
+        chi = random_coloring(n, rng.randrange(2, 6), 1000 + trial)
+        tp = rng.randrange(1, 9)
+        got = find_strongly_even(chi, sp, tp)
+        assert got == _reference_strongly_even(chi, sp, tp)
+        outcomes.add(type(got))
+    assert outcomes == {StronglyEvenWitness, Miss}
+
+
 def test_parity_hypergraph_support_rules():
     overrides = {(0, 5): 1, (1, 5): 1, (2, 5): 2,
                  (0, 6): 1, (1, 6): 2, (2, 6): 3,

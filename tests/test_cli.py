@@ -340,3 +340,34 @@ def test_stdout_pinned_across_commits(tmp_path, capsys):
         for name, (code, text) in _pinned_outputs(tmp_path, capsys).items()
     }
     assert got == PINNED_STDOUT_SHA256
+
+
+# SHA-256 of the stdout of the two constructive kernels' commands, taken
+# before merge_endpoints became a single pass and the strongly-even index
+# took bitmask keys: the same merge order and the same first witness.
+PINNED_CONSTRUCTIVE_SHA256 = {
+    "find-unique-free-120": (
+        0,
+        "44c759a67bf67d285e689d1f28e015b4775789f555dc851cb4ddd62d29291bcf",
+    ),
+    "find-even-kst-40": (
+        0,
+        "d50a7215afe0ceea5be884569af2f9cb8c68d6c1eb47d16cd4ff1f2ac2dcafe5",
+    ),
+}
+
+
+def test_constructive_stdout_pinned_across_commits(tmp_path, capsys):
+    got = {}
+    for name, n, r, find in [
+        ("find-unique-free-120", 120, 30, ["unique-free"]),
+        ("find-even-kst-40", 40, 4, ["even-kst", "--s", "4", "--t", "6"]),
+    ]:
+        _, text, _ = run_cli(capsys, "gen", "random", "--n", str(n), "--r",
+                             str(r), "--seed", "1")
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "find", find[0], "--input", str(path),
+                               *find[1:])
+        got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == PINNED_CONSTRUCTIVE_SHA256

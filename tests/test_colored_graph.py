@@ -302,3 +302,13 @@ def test_incomplete_coloring_rejected():
     assignment.popitem()
     with pytest.raises(PreconditionFailed):
         EdgeColoring(host, 1, assignment)
+
+
+def test_colors_present_matches_items():
+    rng = random.Random(9)
+    for seed in range(8):
+        n = rng.randrange(2, 14)
+        g = random_min_degree_graph(n, rng.randrange(n), seed)
+        r = rng.randrange(1, 6)
+        chi = EdgeColoring(g, r, {e: rng.randint(1, r) for e in g.edges()})
+        assert chi.colors_present() == {c for _, c in chi.items()}

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from oddramsey.colored_graph import EdgeColoring, SimpleGraph, edge
 from oddramsey.constructions import random_coloring
-from oddramsey.errors import PreconditionFailed
+from oddramsey.errors import InternalContradiction, PreconditionFailed
 from oddramsey.unique_finder import (
     Claw,
     ColorLedger,
     PreservedCollection,
+    _endpoint_index,
+    _merge_at,
     find_unique_free_hamilton,
     harvest_cherries_matchings,
     max_claw_collection,
@@ -218,6 +221,132 @@ def test_merge_endpoints_blocks_cycle_closure():
     coll = merge_endpoints(chi, coll, ledger)
     assert len(coll.paths) == 2
     assert 2 in ledger.unused
+
+
+def _reference_merge_fixpoint(chi, coll, ledger):
+    """The endpoint-merge fixpoint as it was before the single pass: every
+    rule (i) merge relists all cross pairs and takes the first free one."""
+    col = coll.color_fn(chi)
+
+    def cross_pairs():
+        idx = _endpoint_index(coll)
+        eps = sorted(idx)
+        return [
+            (w1, w2)
+            for a, w1 in enumerate(eps)
+            for w2 in eps[a + 1 :]
+            if idx[w1] != idx[w2]
+        ]
+
+    def rule_i():
+        for w1, w2 in cross_pairs():
+            if col(w1, w2) in ledger.free:
+                _merge_at(coll, w1, w2)
+                ledger.note("endpoint-merge", at=[w1, w2], color=col(w1, w2))
+                return True
+        return False
+
+    def rule_ii():
+        pairs = cross_pairs()
+        idx = _endpoint_index(coll)
+        for a, e1 in enumerate(pairs):
+            c = col(*e1)
+            if c not in ledger.unused:
+                continue
+            for e2 in pairs[a + 1 :]:
+                if col(*e2) != c or set(e1) & set(e2):
+                    continue
+                spanned = {idx[w] for w in e1} | {idx[w] for w in e2}
+                if len(spanned) < 3:
+                    continue
+                _merge_at(coll, *e1)
+                _merge_at(coll, *e2)
+                ledger.free_color(c, "endpoint-pair", edges=[list(e1), list(e2)])
+                return True
+        return False
+
+    progressed = True
+    while progressed:
+        while rule_i():
+            pass
+        progressed = rule_ii()
+
+
+def _assert_merge_matches_reference(chi, coll, ledger):
+    """merge_endpoints and the reference fixpoint leave the same paths,
+    ledger history and color sets; returns the merge_endpoints history."""
+    ref_coll, ref_ledger = copy.deepcopy((coll, ledger))
+    _reference_merge_fixpoint(chi, ref_coll, ref_ledger)
+    try:
+        merge_endpoints(chi, coll, ledger)
+    except InternalContradiction as exc:
+        # Only the unchanged postconditions may object; the merges before
+        # them must still agree.
+        assert "merge would close" not in str(exc)
+    assert coll.paths == ref_coll.paths
+    assert ledger.history == ref_ledger.history
+    assert (ledger.unused, ledger.free) == (ref_ledger.unused, ref_ledger.free)
+    return ledger.history
+
+
+def _merge_events(history):
+    return [
+        ev["at"] if ev["event"] == "endpoint-merge" else ev["edges"]
+        for ev in history
+        if ev["event"] == "endpoint-merge" or ev.get("reason") == "endpoint-pair"
+    ]
+
+
+def test_merge_pass_skips_pairs_a_merge_invalidated():
+    # (0,3) merges first; then (1,2) joins one path and 3 is interior, so
+    # (1,2) and (3,4) must be skipped before (5,6) merges.
+    paths = [[0, 1], [2, 3], [4, 5], [6, 7]]
+    chi = _distinct_cross_coloring(
+        16, paths, {(0, 3): 1, (1, 2): 1, (3, 4): 1, (5, 6): 1}
+    )
+    coll, ledger = _hand_state(16, chi.r, paths, range(8, 16), set(range(2, chi.r + 1)))
+    history = _assert_merge_matches_reference(chi, coll, ledger)
+    assert _merge_events(history) == [[0, 3], [5, 6]]
+
+
+def test_merge_rule_ii_then_rule_i_through_the_freed_color():
+    # Three unused color-2 pairs on six paths: rule (ii) merges the first
+    # two and frees color 2, and only a fresh pass merges the third.
+    paths = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]
+    chi = _distinct_cross_coloring(24, paths, {(1, 2): 2, (5, 6): 2, (9, 10): 2})
+    coll, ledger = _hand_state(24, chi.r, paths, range(12, 24), set(range(2, chi.r + 1)))
+    history = _assert_merge_matches_reference(chi, coll, ledger)
+    assert _merge_events(history) == [[[1, 2], [5, 6]], [9, 10]]
+    assert len(coll.paths) == 3 and 2 in ledger.free
+
+
+def test_merge_with_a_virtual_twin_endpoint():
+    # Twin 16 stands for vertex 0 and proxies its colors.  Rule (i) merges
+    # (0,2), which leaves the twin as an endpoint; rule (ii) then pairs
+    # (5,10) with (9,16), whose color is that of the real edge (0,9).
+    paths = [[0, 16], [2, 3], [4, 5], [8, 9], [10, 11]]
+    chi = _distinct_cross_coloring(
+        16, paths[1:], {(0, 2): 1, (0, 9): 2, (5, 10): 2}
+    )
+    coll, ledger = _hand_state(16, chi.r, paths, range(12, 16), set(range(2, chi.r + 1)))
+    coll.virtual_real[16] = 0
+    coll.gadget_colors[16] = 1
+    history = _assert_merge_matches_reference(chi, coll, ledger)
+    assert _merge_events(history) == [[0, 2], [[5, 10], [9, 16]]]
+
+
+def test_merge_endpoints_matches_reference_on_pipeline_states():
+    rng = random.Random(12)
+    for trial in range(40):
+        n = rng.randrange(8, 61)
+        chi = random_coloring(n, rng.randrange(1, max(2, n // 3)), trial)
+        ledger = ColorLedger.fresh(chi.r)
+        try:
+            coll = resolve_dangerous(chi, max_claw_collection(chi, ledger), ledger)
+            coll = harvest_cherries_matchings(chi, coll, ledger)
+        except InternalContradiction:
+            continue  # best-effort palettes may fail before merging
+        _assert_merge_matches_reference(chi, coll, ledger)
 
 
 def test_merge_cherries_tracks_centers():
