@@ -7,6 +7,11 @@ These supports are hyperedges over the color palette, and a size-t even
 cover (every color covered an even number of times) marks a t-set B that
 makes {w_1,w_2,w_3} x B even-chromatic, hence the assembled K_{s,t} too.
 
+The strongly-even search lists every vertex's even s'-neighborhoods as
+int vertex masks, one list per vertex built class by class, and counts
+each mask's earlier owners in one Counter; only the witness mask is
+decoded, and its owners are recovered by a parity test of their stars.
+
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
 outright at small n; the top-level search only reports ``not_found`` with
@@ -16,9 +21,11 @@ XOR-to-zero search serves both the even covers and that sweep.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import indexOf
 from typing import Iterator
 
 from .colored_graph import EdgeColoring, ParityCensus, parity_census
@@ -71,13 +78,16 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
-def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> Iterator[int]:
-    """The even s'-neighborhoods of u as vertex bitmasks, lazily.
+def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
+    """The even s'-neighborhoods of u as vertex bitmasks, in one list.
 
     Every such S splits into even-size blocks inside u's color classes, so
-    choosing an even-size subset per class enumerates each S exactly once.
-    Classes are visited in color order and subsets lexicographically; a
-    mask is the sum of ``1 << v`` over the chosen vertices.
+    choosing an even-size subset per class lists each S exactly once.
+    Classes come in color order, block sizes ascending and subsets
+    lexicographically; a mask is the sum of ``1 << v`` over the chosen
+    vertices.  The list is built from the last class backwards: ``tails[k]``
+    holds the masks that pick k more vertices from the classes after the
+    current one, and each class extends them by one list comprehension.
     """
     if s_prime < 2 or s_prime % 2 == 1:
         raise PreconditionFailed("even neighborhoods need even s' >= 2")
@@ -85,22 +95,24 @@ def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> Iterator[int]:
     for v in chi.host.neighbors(u):
         by_color.setdefault(chi.color(u, v), []).append(1 << v)
     # neighbors() is increasing, so each class lists its bits in vertex order.
-    classes = [by_color[c] for c in sorted(by_color)]
-
-    def rec(i: int, need: int) -> Iterator[int]:
-        if i >= len(classes):
-            return
-        bits = classes[i]
-        for k in range(0, min(len(bits), need) + 1, 2):
-            if k == need:
-                yield from map(sum, combinations(bits, k))
-                return
-            for chosen in combinations(bits, k):
-                m = sum(chosen)
-                for rest in rec(i + 1, need - k):
-                    yield m | rest
-
-    return rec(0, s_prime)
+    tails: dict[int, list[int]] = {k: [] for k in range(2, s_prime + 1, 2)}
+    for c in sorted(by_color, reverse=True):
+        bits = by_color[c]
+        subsets = {
+            k: list(map(sum, combinations(bits, k)))
+            for k in range(2, min(len(bits), s_prime) + 1, 2)
+        }
+        grown = {}
+        for need, rest in tails.items():
+            out = list(rest)  # the class contributes no vertex
+            for k, picks in subsets.items():
+                if k == need:
+                    out += picks
+                elif k < need:
+                    out += [m | t for m in picks for t in tails[need - k]]
+            grown[need] = out
+        tails = grown
+    return tails[s_prime]
 
 
 def even_neighborhoods(
@@ -124,10 +136,13 @@ def find_strongly_even(
 ) -> StronglyEvenWitness | Miss:
     """Search for a strongly-even-chromatic K_{s',t'} by double counting.
 
-    Every even s'-neighborhood is indexed by its vertex bitmask from
-    ``_even_masks``; a set owned by t' distinct vertices is a witness, and
-    only that mask is decoded.  The index is exhaustive, so a miss
-    certifies that no witness exists.
+    One Counter holds, per even s'-neighborhood (a vertex bitmask from
+    ``_even_masks``), how many earlier vertices own it.  Each vertex takes
+    the first mask in its list that already has t'-1 owners; failing that,
+    its whole list enters the Counter in one update.  On a hit only that
+    mask is decoded, and its earlier owners are recovered by testing the
+    star of each earlier vertex at it for an all-even census.  The index is
+    exhaustive, so a miss certifies that no witness exists.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -137,13 +152,24 @@ def find_strongly_even(
         if n < t_prime:
             return Miss("not_found", "strongly-even")
         return StronglyEvenWitness((), tuple(range(t_prime)))
-    owners: dict[int, list[int]] = {}
+    owners: Counter[int] = Counter()
     for u in range(n):
-        for mask in _even_masks(chi, u, s_prime):
-            got = owners.setdefault(mask, [])
-            got.append(u)
-            if len(got) == t_prime:
-                return StronglyEvenWitness(_bits(mask), tuple(got))
+        masks = _even_masks(chi, u, s_prime)
+        try:
+            at = indexOf(map(owners.get, masks, repeat(0)), t_prime - 1)
+        except ValueError:
+            owners.update(masks)
+            continue
+        mask = masks[at]
+        side_a = _bits(mask)
+        prior = [
+            v for v in range(u)
+            if chi.host.mask(v) & mask == mask
+            and _bipartite_census(chi, side_a, (v,)).is_even_chromatic()
+        ]
+        if len(prior) != t_prime - 1:
+            raise InternalContradiction("strongly-even index miscounted owners")
+        return StronglyEvenWitness(side_a, (*prior, u))
     return Miss("not_found", "strongly-even")
 
 

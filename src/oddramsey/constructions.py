@@ -22,7 +22,6 @@ from typing import Iterator
 
 from .colored_graph import (
     CycleOrPath,
-    Edge,
     EdgeColoring,
     SimpleGraph,
     cycle_census,
@@ -52,20 +51,18 @@ def unique_upper_coloring(n: int) -> EdgeColoring:
 
     Vertices 0..n/2 form the large block, the rest the small one.  Edges
     inside either block get color 1; a crossing edge takes the color
-    indexed by its large-block endpoint (vertex i maps to color i+1).
+    indexed by its large-block endpoint (vertex i maps to color i+1).  The
+    n x n color table is written row by row from these two rules.
     """
     if n < 4 or n % 2 == 1:
         raise PreconditionFailed("construction needs even n >= 4")
-    host = SimpleGraph.complete(n)
     big = n // 2 + 1  # vertices 0..n//2
-    assignment: dict[Edge, int] = {}
-    for e in host.edges():
-        in_big = (e.u < big, e.v < big)
-        if in_big == (True, True) or in_big == (False, False):
-            assignment[e] = 1
-        else:
-            assignment[e] = e.u + 1  # e.u < e.v, so e.u is the big-block end
-    return EdgeColoring(host, big, assignment)
+    small = n - big
+    table = [[1] * big + [u + 1] * small for u in range(big)]
+    table += [list(range(1, big + 1)) + [1] * small for _ in range(small)]
+    for u in range(n):
+        table[u][u] = 0
+    return EdgeColoring._from_table(SimpleGraph.complete(n), big, table)
 
 
 _PREDICATES = {
@@ -326,15 +323,22 @@ def random_coloring(n: int, r: int, seed: int) -> EdgeColoring:
 
 
 def random_edge_coloring(g: SimpleGraph, r: int, seed: int) -> EdgeColoring:
-    """Seeded uniform coloring of an arbitrary host, edges in lex order."""
+    """Seeded uniform coloring of an arbitrary host.
+
+    Edges are visited in lexicographic order and each takes color
+    1 + (splitmix64 output mod r), written straight into both cells of
+    the n x n color table.
+    """
     if r < 1:
         raise PreconditionFailed("palette size must be at least 1")
     state = seed & _MASK64
-    assignment: dict[Edge, int] = {}
-    for e in g.edges():
-        state, word = splitmix64_next(state)
-        assignment[e] = 1 + word % r
-    return EdgeColoring(g, r, assignment)
+    table = [[0] * g.n for _ in range(g.n)]
+    for u, row in enumerate(table):
+        for v in g.neighbors(u):
+            if v > u:
+                state, word = splitmix64_next(state)
+                row[v] = table[v][u] = 1 + word % r
+    return EdgeColoring._from_table(g, r, table)
 
 
 def random_min_degree_graph(n: int, dmin: int, seed: int) -> SimpleGraph:

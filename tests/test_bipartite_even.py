@@ -10,6 +10,7 @@ from oddramsey.bipartite_even import (
     Miss,
     ParityHypergraph,
     StronglyEvenWitness,
+    _even_masks,
     brute_force_even_kst,
     build_parity_hypergraph,
     even_neighborhoods,
@@ -18,7 +19,11 @@ from oddramsey.bipartite_even import (
     find_strongly_even,
 )
 from oddramsey.colored_graph import EdgeColoring, SimpleGraph, edge, parity_census
-from oddramsey.constructions import random_coloring
+from oddramsey.constructions import (
+    random_coloring,
+    random_edge_coloring,
+    random_min_degree_graph,
+)
 from oddramsey.errors import CapExceeded, PreconditionFailed
 
 from conftest import coloring_with, mono_coloring
@@ -168,6 +173,93 @@ def test_strongly_even_matches_frozenset_index():
         outcomes.add(type(got))
     assert outcomes == {StronglyEvenWitness, Miss}
 
+
+
+def _reference_even_masks(chi, u, s_prime):
+    """The lazy recursive mask enumerator the per-class lists replaced."""
+    if s_prime < 2 or s_prime % 2 == 1:
+        raise PreconditionFailed("even neighborhoods need even s' >= 2")
+    by_color = {}
+    for v in chi.host.neighbors(u):
+        by_color.setdefault(chi.color(u, v), []).append(1 << v)
+    classes = [by_color[c] for c in sorted(by_color)]
+
+    def rec(i, need):
+        if i >= len(classes):
+            return
+        bits = classes[i]
+        for k in range(0, min(len(bits), need) + 1, 2):
+            if k == need:
+                yield from map(sum, combinations(bits, k))
+                return
+            for chosen in combinations(bits, k):
+                m = sum(chosen)
+                for rest in rec(i + 1, need - k):
+                    yield m | rest
+
+    return rec(0, s_prime)
+
+
+def _reference_owner_lists(chi, sp, tp):
+    """The owners-dict index the prior-owner Counter replaced."""
+    if sp == 0:
+        return StronglyEvenWitness((), tuple(range(tp)))
+    owners = {}
+    for u in range(chi.host.n):
+        for mask in _reference_even_masks(chi, u, sp):
+            got = owners.setdefault(mask, [])
+            got.append(u)
+            if len(got) == tp:
+                side_a = tuple(v for v in range(chi.host.n) if mask >> v & 1)
+                return StronglyEvenWitness(side_a, tuple(got))
+    return Miss("not_found", "strongly-even")
+
+
+def _kernel_cases():
+    rng = random.Random(41)
+    for trial in range(64):
+        sp = rng.choice([2, 4, 6])
+        n = rng.randrange(10, {2: 41, 4: 23, 6: 15}[sp])
+        r = rng.randrange(2, 6)
+        tp = rng.randrange(1, 9)
+        if trial % 8 == 7:
+            host = random_min_degree_graph(n, n // 2, trial)
+            chi = random_edge_coloring(host, r, 500 + trial)
+        else:
+            chi = random_coloring(n, r, 500 + trial)
+        yield chi, sp, tp
+
+
+def test_even_masks_match_the_recursive_enumerator():
+    for chi, sp, _ in _kernel_cases():
+        for u in range(0, chi.host.n, 3):
+            assert _even_masks(chi, u, sp) == list(
+                _reference_even_masks(chi, u, sp)
+            )
+
+
+def test_prior_owner_counter_matches_owner_lists():
+    outcomes = set()
+    for chi, sp, tp in _kernel_cases():
+        got = find_strongly_even(chi, sp, tp)
+        assert got == _reference_owner_lists(chi, sp, tp)
+        outcomes.add(type(got))
+    assert outcomes == {StronglyEvenWitness, Miss}
+
+
+def test_prior_owner_counter_edge_parameters():
+    chi = random_coloring(9, 3, 4)
+    for sp in (0, 2, 4):
+        assert find_strongly_even(chi, sp, 1) == _reference_owner_lists(chi, sp, 1)
+    assert find_strongly_even(chi, 0, 9) == StronglyEvenWitness((), tuple(range(9)))
+    assert find_strongly_even(chi, 0, 10) == Miss("not_found", "strongly-even")
+    for sp in (1, 3, 5, -2):
+        with pytest.raises(PreconditionFailed):
+            find_strongly_even(chi, sp, 2)
+        with pytest.raises(PreconditionFailed):
+            _even_masks(chi, 0, sp)
+    with pytest.raises(PreconditionFailed):
+        find_strongly_even(chi, 2, 0)
 
 def test_parity_hypergraph_support_rules():
     overrides = {(0, 5): 1, (1, 5): 1, (2, 5): 2,

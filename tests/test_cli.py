@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 
 from oddramsey.cli import STATUS_CODES, USAGE_EXIT, main
-from oddramsey.colored_graph import instance_from_json, instance_to_json
+from oddramsey.colored_graph import (
+    EdgeColoring,
+    SimpleGraph,
+    instance_from_json,
+    instance_to_json,
+    instance_to_obj,
+)
 from oddramsey.constructions import (
     random_coloring,
     random_edge_coloring,
     random_min_degree_graph,
+    splitmix64_next,
 )
 
 from conftest import instance_like
@@ -371,3 +378,99 @@ def test_constructive_stdout_pinned_across_commits(tmp_path, capsys):
                                *find[1:])
         got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == PINNED_CONSTRUCTIVE_SHA256
+
+
+# SHA-256 of the two n=400 emitters' stdout, taken while they still built
+# an Edge-keyed dict and printed json.dumps of instance_to_obj.
+PINNED_EMITTER_SHA256 = {
+    "gen-random-400": (
+        0,
+        "5ce7f75f349d9c10d9fe1721dcd063539779cab58c94219733173639d2677538",
+    ),
+    "construct-unique-upper-400": (
+        0,
+        "b85a7258df55d9b7b1c470b6b58a2d7b98b93f101b87981dcec40341d0921333",
+    ),
+}
+
+
+def test_emitter_stdout_pinned_across_commits(capsys):
+    got = {}
+    for name, argv in [
+        ("gen-random-400", ["gen", "random", "--n", "400", "--r", "3",
+                            "--seed", "1"]),
+        ("construct-unique-upper-400", ["construct", "unique-upper",
+                                        "--n", "400"]),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == PINNED_EMITTER_SHA256
+
+
+def test_instance_text_is_sorted_key_json_dumps():
+    colorings = [random_coloring(1, 3, 0), random_coloring(2, 1, 5)]
+    colorings += [random_coloring(n, r, 70 + n) for n, r in [(7, 2), (23, 5)]]
+    colorings += [
+        random_edge_coloring(random_min_degree_graph(n, d, n), 4, n)
+        for n, d in [(9, 2), (30, 6), (41, 20)]
+    ]
+    for chi in colorings:
+        assert instance_to_json(chi) == json.dumps(
+            instance_to_obj(chi), sort_keys=True
+        )
+
+
+def _edge_dict_coloring(g, r, seed):
+    """The Edge-keyed construction the direct table fill replaced."""
+    state = seed & ((1 << 64) - 1)
+    assignment = {}
+    for e in g.edges():
+        state, word = splitmix64_next(state)
+        assignment[e] = 1 + word % r
+    return EdgeColoring(g, r, assignment)
+
+
+def test_random_edge_coloring_table_matches_edge_dict():
+    for n, d, r in [(6, 1, 2), (17, 3, 3), (40, 5, 4), (52, 30, 6)]:
+        g = random_min_degree_graph(n, d, n + d)
+        chi, want = random_edge_coloring(g, r, n), _edge_dict_coloring(g, r, n)
+        assert chi.host is g and chi.r == r
+        assert list(chi.items()) == list(want.items())
+        for c in range(1, r + 1):
+            assert chi.color_rows(c) == want.color_rows(c)
+
+
+def test_oracle_past_its_four_color_cap_exits_6(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "exact", "--n", "6", "--mode",
+                           "odd", "--r", "4")
+    assert code == STATUS_CODES["cap_exceeded"] == 6
+    assert json.loads(out) == {
+        "error": "exact oracle capped below n=6, r=4",
+        "status": "cap_exceeded",
+    }
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+def test_max_n_env_not_an_integer_is_usage_error(tmp_path, capsys,
+                                                 monkeypatch, raw):
+    inst = tmp_path / "k5.json"
+    inst.write_text(instance_to_json(random_coloring(5, 2, 0)))
+    monkeypatch.setenv("ODDRAMSEY_MAX_N", raw)
+    code, out, err = run_cli(capsys, "verify", "cycles", "--input", str(inst),
+                             "--predicate", "odd-chromatic")
+    assert code == USAGE_EXIT and out == ""
+    assert (f"usage error: ODDRAMSEY_MAX_N must be a non-negative integer, "
+            f"got {raw!r}") in err
+
+
+def test_even_kst_strongly_even_miss_payload(tmp_path, capsys):
+    # A rainbow K_6: no two edges at a vertex share a color, so no vertex
+    # has an even 2-neighborhood and the strongly-even index misses.
+    host = SimpleGraph.complete(6)
+    chi = EdgeColoring(host, 15, {e: i + 1 for i, e in enumerate(host.edges())})
+    inst = tmp_path / "rainbow6.json"
+    inst.write_text(instance_to_json(chi))
+    code, out, _ = run_cli(capsys, "find", "even-kst", "--input", str(inst),
+                           "--s", "2", "--t", "3")
+    assert code == STATUS_CODES["not_found"] == 2
+    assert out == '{"stage": "strongly-even", "status": "not_found"}\n'

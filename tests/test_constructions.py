@@ -191,6 +191,31 @@ def test_exact_ramsey_cap():
         exact_ramsey(8, "odd", 3)
 
 
+def test_exact_ramsey_cap_for_four_or_more_colors():
+    # r >= 4 is capped at n <= 5
+    res = exact_ramsey(5, "odd", 4)
+    assert res.exists and res.nodes > 0
+    assert verify_every_cycle(res.witness, "odd-chromatic") == (True, None)
+    for r in (4, 9):
+        with pytest.raises(CapExceeded, match=r"^exact oracle capped below n=6"):
+            exact_ramsey(6, "odd", r)
+
+
+def test_upper_coloring_table_matches_the_block_rule():
+    for n in (4, 6, 10, 32):
+        chi = unique_upper_coloring(n)
+        big = n // 2 + 1
+        host = SimpleGraph.complete(n)
+        want = EdgeColoring(host, big, {
+            e: 1 if (e.u < big) == (e.v < big) else e.u + 1
+            for e in host.edges()
+        })
+        assert chi.host == host and chi.r == big
+        assert list(chi.items()) == list(want.items())
+        for c in range(1, big + 1):
+            assert chi.color_rows(c) == want.color_rows(c)
+
+
 def test_splitmix_reference_values():
     # frozen first outputs for seed 0 (documented update constants)
     state, w1 = splitmix64_next(0)
