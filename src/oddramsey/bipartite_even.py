@@ -78,6 +78,38 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
+def _color_classes(chi: EdgeColoring, u: int, s_prime: int) -> list[list[int]]:
+    """u's color classes in color order, each its neighbors' bits ascending."""
+    if s_prime < 2 or s_prime % 2 == 1:
+        raise PreconditionFailed("even neighborhoods need even s' >= 2")
+    by_color: dict[int, list[int]] = {}
+    for v in chi.host.neighbors(u):
+        by_color.setdefault(chi.color(u, v), []).append(1 << v)
+    # neighbors() is increasing, so each class lists its bits in vertex order.
+    return [by_color[c] for c in sorted(by_color)]
+
+
+def _first_even_mask(chi: EdgeColoring, u: int, s_prime: int) -> int | None:
+    """The first mask ``_even_masks`` would list, without building the list.
+
+    In that order each class takes the smallest even block that the later
+    classes can still complete, and a block is the class's lowest vertices.
+    ``room[i]`` counts the vertices classes i.. can supply in even blocks.
+    """
+    classes = _color_classes(chi, u, s_prime)
+    room = [0] * (len(classes) + 1)
+    for i in range(len(classes) - 1, -1, -1):
+        room[i] = room[i + 1] + len(classes[i]) // 2 * 2
+    if room[0] < s_prime:
+        return None
+    mask, need = 0, s_prime
+    for bits, later in zip(classes, room[1:]):
+        k = max(0, need - later)  # even, since need and later are
+        mask |= sum(bits[:k])
+        need -= k
+    return mask
+
+
 def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
     """The even s'-neighborhoods of u as vertex bitmasks, in one list.
 
@@ -89,15 +121,8 @@ def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
     holds the masks that pick k more vertices from the classes after the
     current one, and each class extends them by one list comprehension.
     """
-    if s_prime < 2 or s_prime % 2 == 1:
-        raise PreconditionFailed("even neighborhoods need even s' >= 2")
-    by_color: dict[int, list[int]] = {}
-    for v in chi.host.neighbors(u):
-        by_color.setdefault(chi.color(u, v), []).append(1 << v)
-    # neighbors() is increasing, so each class lists its bits in vertex order.
     tails: dict[int, list[int]] = {k: [] for k in range(2, s_prime + 1, 2)}
-    for c in sorted(by_color, reverse=True):
-        bits = by_color[c]
+    for bits in reversed(_color_classes(chi, u, s_prime)):
         subsets = {
             k: list(map(sum, combinations(bits, k)))
             for k in range(2, min(len(bits), s_prime) + 1, 2)
@@ -142,7 +167,9 @@ def find_strongly_even(
     its whole list enters the Counter in one update.  On a hit only that
     mask is decoded, and its earlier owners are recovered by testing the
     star of each earlier vertex at it for an all-even census.  The index is
-    exhaustive, so a miss certifies that no witness exists.
+    exhaustive, so a miss certifies that no witness exists.  With t'=1 the
+    first mask of the first vertex that has one is the witness, and
+    ``_first_even_mask`` finds it without listing the rest.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -152,6 +179,14 @@ def find_strongly_even(
         if n < t_prime:
             return Miss("not_found", "strongly-even")
         return StronglyEvenWitness((), tuple(range(t_prime)))
+    if t_prime == 1:
+        # Any one even s'-neighborhood is a witness: skip the lists, which
+        # can be huge on dense hosts.
+        for u in range(n):
+            mask = _first_even_mask(chi, u, s_prime)
+            if mask is not None:
+                return StronglyEvenWitness(_bits(mask), (u,))
+        return Miss("not_found", "strongly-even")
     owners: Counter[int] = Counter()
     for u in range(n):
         masks = _even_masks(chi, u, s_prime)

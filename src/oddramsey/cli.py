@@ -19,7 +19,6 @@ from .colored_graph import (
     EdgeColoring,
     cycle_census,
     instance_from_json,
-    instance_to_json,
     instance_to_obj,
 )
 from .errors import (
@@ -164,13 +163,11 @@ def _to_dot(chi: EdgeColoring) -> str:
     return "\n".join(lines)
 
 
-def dispatch(args) -> tuple[str, dict | str]:
+def dispatch(args) -> tuple[str, dict]:
     """Route to the owning module; returns (status, stdout payload).
 
-    The payload is a dict, or for ``gen`` and ``construct`` the bare
-    instance document already rendered by ``instance_to_json``.  Each
-    branch imports only the module it calls, so a command does not pay
-    for loading the pipelines it never runs.
+    Each branch imports only the module it calls, so a command does not
+    pay for loading the pipelines it never runs.
     """
     if args.group == "find" and args.op == "even-hamilton":
         from . import parity_switch
@@ -230,7 +227,7 @@ def dispatch(args) -> tuple[str, dict | str]:
 
         # Bare instance document: the output pipes into any --input slot.
         chi = constructions.unique_upper_coloring(args.n)
-        return "ok", instance_to_json(chi)
+        return "ok", instance_to_obj(chi)
     if args.group == "oracle":
         from . import constructions
 
@@ -247,7 +244,7 @@ def dispatch(args) -> tuple[str, dict | str]:
         from . import constructions
 
         chi = constructions.random_coloring(args.n, args.r, args.seed)
-        return "ok", instance_to_json(chi)
+        return "ok", instance_to_obj(chi)
     if args.group == "verify":
         from . import constructions
 
@@ -287,11 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         status, payload = "internal_contradiction", {"error": str(exc)}
     # Instance documents stay in the bare interchange format; everything
     # else is self-describing (the exit code carries the status either way).
-    if not isinstance(payload, str):
-        if "status" not in payload:
-            payload = {"status": status, **payload}
-        payload = json.dumps(payload, sort_keys=True)
-    print(payload)
+    if "status" not in payload and "edges" not in payload:
+        payload = {"status": status, **payload}
+    print(json.dumps(payload, sort_keys=True))
     elapsed_ms = (time.monotonic() - started) * 1000.0
     print(f"# timing_ms={elapsed_ms:.1f}", file=sys.stderr)
     return STATUS_CODES[status]

@@ -411,16 +411,7 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
 
 
 def instance_to_json(coloring: EdgeColoring) -> str:
-    """The instance document as sorted-key JSON text, written directly.
-
-    Byte-for-byte ``json.dumps(instance_to_obj(coloring), sort_keys=True)``
-    (keys "edges" < "n" < "r" and "c" < "u" < "v", default separators),
-    formatted from the color table without building the record dicts.
-    """
-    records = ", ".join(
-        [f'{{"c": {c}, "u": {u}, "v": {v}}}' for (u, v), c in coloring.items()]
-    )
-    return f'{{"edges": [{records}], "n": {coloring.host.n}, "r": {coloring.r}}}'
+    return json.dumps(instance_to_obj(coloring), sort_keys=True)
 
 
 def instance_from_json(text: str) -> EdgeColoring:

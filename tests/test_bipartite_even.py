@@ -11,6 +11,7 @@ from oddramsey.bipartite_even import (
     ParityHypergraph,
     StronglyEvenWitness,
     _even_masks,
+    _first_even_mask,
     brute_force_even_kst,
     build_parity_hypergraph,
     even_neighborhoods,
@@ -174,7 +175,6 @@ def test_strongly_even_matches_frozenset_index():
     assert outcomes == {StronglyEvenWitness, Miss}
 
 
-
 def _reference_even_masks(chi, u, s_prime):
     """The lazy recursive mask enumerator the per-class lists replaced."""
     if s_prime < 2 or s_prime % 2 == 1:
@@ -257,9 +257,26 @@ def test_prior_owner_counter_edge_parameters():
         with pytest.raises(PreconditionFailed):
             find_strongly_even(chi, sp, 2)
         with pytest.raises(PreconditionFailed):
+            find_strongly_even(chi, sp, 1)
+        with pytest.raises(PreconditionFailed):
             _even_masks(chi, 0, sp)
     with pytest.raises(PreconditionFailed):
         find_strongly_even(chi, 2, 0)
+
+
+def test_first_even_mask_is_the_head_of_the_list():
+    sparse = [
+        (random_edge_coloring(random_min_degree_graph(12, d, d), r, 7), sp)
+        for d in (1, 2, 3) for r in (2, 4) for sp in (2, 4, 6)
+    ]
+    nones = 0
+    for chi, sp in [(chi, sp) for chi, sp, _ in _kernel_cases()] + sparse:
+        for u in range(chi.host.n):
+            masks = _even_masks(chi, u, sp)
+            assert _first_even_mask(chi, u, sp) == (masks[0] if masks else None)
+            nones += not masks
+    assert nones > 0
+
 
 def test_parity_hypergraph_support_rules():
     overrides = {(0, 5): 1, (1, 5): 1, (2, 5): 2,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -474,3 +475,19 @@ def test_even_kst_strongly_even_miss_payload(tmp_path, capsys):
                            "--s", "2", "--t", "3")
     assert code == STATUS_CODES["not_found"] == 2
     assert out == '{"stage": "strongly-even", "status": "not_found"}\n'
+
+
+def test_even_kst_single_column_answers_fast_on_a_dense_host(tmp_path, capsys):
+    # t=1 needs one even s-neighborhood; listing all of them at one vertex
+    # of this 2-colored K_400 would take ~5*10^8 masks (s=4), ~10^12 (s=6).
+    inst = tmp_path / "k400.json"
+    inst.write_text(instance_to_json(random_coloring(400, 2, 3)))
+    for s, side_a in [("4", [1, 2, 3, 4]), ("6", [1, 2, 3, 4, 6, 12])]:
+        started = time.monotonic()
+        code, out, _ = run_cli(capsys, "find", "even-kst", "--input",
+                               str(inst), "--s", s, "--t", "1")
+        assert time.monotonic() - started < 10.0
+        assert code == 0
+        assert json.loads(out) == {"A": side_a, "B": [0],
+                                   "census": {"2": len(side_a)},
+                                   "status": "ok"}
