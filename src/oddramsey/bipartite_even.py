@@ -11,6 +11,8 @@ The strongly-even search lists every vertex's even s'-neighborhoods as
 int vertex masks, one list per vertex built class by class, and counts
 each mask's earlier owners in one Counter; only the witness mask is
 decoded, and its owners are recovered by a parity test of their stars.
+Past ``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the class sizes
+before each list is built, the search answers "unknown".
 
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
@@ -110,6 +112,15 @@ def _first_even_mask(chi: EdgeColoring, u: int, s_prime: int) -> int | None:
     return mask
 
 
+def _even_mask_count(chi: EdgeColoring, u: int, s_prime: int) -> int:
+    """``len(_even_masks(chi, u, s_prime))``, from u's class sizes alone."""
+    ways = [1] + [0] * (s_prime // 2)  # ways[h]: even-block picks of 2h
+    for bits in _color_classes(chi, u, s_prime):
+        ways = [sum(ways[h - i] * comb(len(bits), 2 * i) for i in range(h + 1))
+                for h in range(len(ways))]
+    return ways[-1]
+
+
 def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
     """The even s'-neighborhoods of u as vertex bitmasks, in one list.
 
@@ -156,6 +167,11 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+# Even s'-neighborhoods find_strongly_even may list in all before it answers
+# "unknown"; the benchmark's K_60 s'=4 inputs list at most about 450,000.
+STRONGLY_EVEN_MASK_BUDGET = 2_000_000
+
+
 def find_strongly_even(
     chi: EdgeColoring, s_prime: int, t_prime: int
 ) -> StronglyEvenWitness | Miss:
@@ -167,9 +183,11 @@ def find_strongly_even(
     its whole list enters the Counter in one update.  On a hit only that
     mask is decoded, and its earlier owners are recovered by testing the
     star of each earlier vertex at it for an all-even census.  The index is
-    exhaustive, so a miss certifies that no witness exists.  With t'=1 the
-    first mask of the first vertex that has one is the witness, and
-    ``_first_even_mask`` finds it without listing the rest.
+    exhaustive, so a miss certifies that no witness exists, unless the
+    lists, counted before they are built, would pass
+    ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".  With
+    t'=1 the first mask of the first vertex that has one is the witness,
+    and ``_first_even_mask`` finds it without listing the rest.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -188,7 +206,11 @@ def find_strongly_even(
                 return StronglyEvenWitness(_bits(mask), (u,))
         return Miss("not_found", "strongly-even")
     owners: Counter[int] = Counter()
+    listed = 0
     for u in range(n):
+        listed += _even_mask_count(chi, u, s_prime)
+        if listed > STRONGLY_EVEN_MASK_BUDGET:
+            return Miss("unknown", "strongly-even")
         masks = _even_masks(chi, u, s_prime)
         try:
             at = indexOf(map(owners.get, masks, repeat(0)), t_prime - 1)
@@ -329,11 +351,7 @@ def _checked_cover(
 
 
 def find_even_chromatic_kst(
-    chi: EdgeColoring,
-    s: int,
-    t: int,
-    t_prime: int | None = None,
-    retry_w: bool = False,
+    chi: EdgeColoring, s: int, t: int, t_prime: int | None = None
 ) -> Bipartition | Miss:
     """Search for an even-chromatic K_{s,t} in a colored complete graph.
 
@@ -341,9 +359,9 @@ def find_even_chromatic_kst(
     w-triple supports, even cover); when that stalls, an exhaustive sweep
     over all s-tuples in the w-role decides existence outright if its
     C(n,s)*C(n-s,t) candidate splits fit ``_EXHAUSTIVE_CAP``.  Even s goes
-    through the strongly-even search directly, whose miss certifies only
-    the absence of *strongly*-even copies.  Every returned bipartition is
-    verified even-chromatic.
+    through the strongly-even search directly, whose "not_found" certifies
+    only the absence of *strongly*-even copies ("unknown" past its budget).
+    Every returned bipartition is verified even-chromatic.
     """
     n = chi.host.n
     if not chi.host.is_complete():
@@ -359,7 +377,7 @@ def find_even_chromatic_kst(
         out = Bipartition(wit.side_a, wit.side_b)
         _assert_even(chi, out)
         return out
-    res = _odd_pipeline(chi, s, t, t_prime, retry_w)
+    res = _odd_pipeline(chi, s, t, t_prime)
     if isinstance(res, Bipartition):
         return res
     if comb(n, s) * comb(n - s, t) <= _EXHAUSTIVE_CAP:
@@ -368,7 +386,7 @@ def find_even_chromatic_kst(
 
 
 def _odd_pipeline(
-    chi: EdgeColoring, s: int, t: int, t_prime: int | None, retry_w: bool
+    chi: EdgeColoring, s: int, t: int, t_prime: int | None
 ) -> Bipartition | Miss:
     n = chi.host.n
     tp = t_prime if t_prime is not None else n - s
@@ -383,19 +401,15 @@ def _odd_pipeline(
         raise PreconditionFailed(
             "no room for the w-triple next to the strongly-even copy"
         )
-    triples = combinations(outside, 3) if retry_w else [tuple(outside[:3])]
-    last = Miss("unknown", "even-cover")
-    for trio in triples:
-        hyper = build_parity_hypergraph(chi, *trio, wit.side_b)
-        cover = find_even_cover(hyper, t)
-        if isinstance(cover, EvenCover):
-            out = Bipartition(
-                tuple(sorted(wit.side_a + trio)), tuple(sorted(cover.labels))
-            )
-            _assert_even(chi, out)
-            return out
-        last = cover
-    return last
+    trio = tuple(outside[:3])
+    cover = find_even_cover(build_parity_hypergraph(chi, *trio, wit.side_b), t)
+    if isinstance(cover, Miss):
+        return cover
+    out = Bipartition(
+        tuple(sorted(wit.side_a + trio)), tuple(sorted(cover.labels))
+    )
+    _assert_even(chi, out)
+    return out
 
 
 def _sweep_all_tuples(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -69,23 +68,6 @@ def _read_instance(path: str) -> EdgeColoring:
         raise _UsageError(f"invalid instance: {exc}") from exc
 
 
-def _enum_cap() -> int:
-    from .hamilton import ENUMERATION_CAP
-
-    raw = os.environ.get("ODDRAMSEY_MAX_N")
-    if raw is None:
-        return ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
-        raise _UsageError(
-            f"ODDRAMSEY_MAX_N must be a non-negative integer, got {raw!r}"
-        )
-    return cap
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="oddramsey", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
@@ -106,7 +88,6 @@ def build_parser() -> _Parser:
     f3.add_argument("--s", type=int, required=True)
     f3.add_argument("--t", type=int, required=True)
     f3.add_argument("--t-prime", type=int, default=None)
-    f3.add_argument("--retry-w", action="store_true")
 
     construct = sub.add_parser("construct", help="explicit colorings")
     csub = construct.add_subparsers(dest="op", required=True)
@@ -212,7 +193,7 @@ def dispatch(args) -> tuple[str, dict]:
 
         chi = _read_instance(args.input)
         res = bipartite_even.find_even_chromatic_kst(
-            chi, args.s, args.t, t_prime=args.t_prime, retry_w=args.retry_w
+            chi, args.s, args.t, t_prime=args.t_prime
         )
         if isinstance(res, bipartite_even.Miss):
             return res.status, {"status": res.status, "stage": res.stage}
@@ -250,7 +231,7 @@ def dispatch(args) -> tuple[str, dict]:
 
         chi = _read_instance(args.input)
         holds, counterexample = constructions.verify_every_cycle(
-            chi, args.predicate, cap=_enum_cap()
+            chi, args.predicate
         )
         payload = {"holds": holds}
         if counterexample is not None:

@@ -12,7 +12,8 @@ violates the requested predicate.
 :func:`verify_every_cycle` checks one coloring without listing its
 Hamilton cycles: a Held–Karp table over (visited set, endpoint) holds the
 color states the paths from vertex 0 can reach, and a walk over the table
-recovers the first failing cycle of the canonical enumeration order.
+recovers the first failing cycle of the canonical enumeration order.  Past
+its state budget, its one work limit, it raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .colored_graph import (
     cycle_census,
 )
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
-from .hamilton import ENUMERATION_CAP, enumerate_hamilton_cycles
+from .hamilton import enumerate_hamilton_cycles
 
 _MASK64 = (1 << 64) - 1
 
@@ -76,6 +77,9 @@ _PREDICATES = {
 # The largest table the test suite builds, unique-upper n=12 under
 # has-unique-color, holds about 372,000.
 TABLE_STATE_BUDGET = 1_000_000
+# Largest host the table is built for: a 2-colored K_16 holds at most
+# 491,520 states; larger hosts can take many seconds to reach the budget.
+TABLE_MAX_N = 16
 
 
 def _state_rules(predicate: str, r: int):
@@ -119,7 +123,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _path_state_table(units: list[list[int]], rows: list[int], extend):
-    """Held–Karp table over the paths from vertex 0, or None past the budget.
+    """Held–Karp table over the paths from vertex 0; CapExceeded past budget.
 
     ``table[mask][v]`` is the set of color states of the paths that start
     at 0, end at v and visit exactly the vertices of ``mask``.  Each layer
@@ -139,7 +143,10 @@ def _path_state_table(units: list[list[int]], rows: list[int], extend):
                     out |= extend(states, units[v][w])
                     stored += len(out) - before
                     if stored > TABLE_STATE_BUDGET:
-                        return None
+                        raise CapExceeded(
+                            f"cycle verification table passed "
+                            f"{TABLE_STATE_BUDGET} color states"
+                        )
         layer = {
             mask: {w: shared.setdefault(fs := frozenset(out), fs)
                    for w, out in cells.items()}
@@ -180,7 +187,7 @@ def _first_violating_cycle(table, units, rows, combine, violates):
 
 
 def verify_every_cycle(
-    chi: EdgeColoring, predicate: str, cap: int = ENUMERATION_CAP
+    chi: EdgeColoring, predicate: str
 ) -> tuple[bool, CycleOrPath | None]:
     """Check the predicate on every Hamilton cycle of the host.
 
@@ -190,8 +197,8 @@ def verify_every_cycle(
     predicate fails iff some closed path reaches a violating state, and a
     greedy walk over the table recovers the first failing cycle, which is
     re-checked by its census.  A table that would hold more than
-    ``TABLE_STATE_BUDGET`` states is dropped for the canonical enumeration.
-    Hosts above ``cap`` vertices raise CapExceeded.
+    ``TABLE_STATE_BUDGET`` states raises CapExceeded, and so does a host
+    above ``TABLE_MAX_N`` vertices; no cycle is enumerated either way.
     """
     try:
         pred = _PREDICATES[predicate]
@@ -200,8 +207,10 @@ def verify_every_cycle(
             f"unknown predicate {predicate!r}; choose from {sorted(_PREDICATES)}"
         ) from None
     n = chi.host.n
-    if n > cap:
-        raise CapExceeded(f"enumeration capped at n <= {cap}, got n = {n}")
+    if n > TABLE_MAX_N:
+        raise CapExceeded(
+            f"cycle verification capped at n <= {TABLE_MAX_N}, got n = {n}"
+        )
     if n < 3:
         return True, None
     unit, extend, combine, violates = _state_rules(predicate, chi.r)
@@ -211,11 +220,6 @@ def verify_every_cycle(
         for v in range(n)
     ]
     table = _path_state_table(units, rows, extend)
-    if table is None:
-        for cyc in enumerate_hamilton_cycles(chi.host, cap):
-            if not pred(cycle_census(chi, cyc)):
-                return False, cyc
-        return True, None
     cyc = _first_violating_cycle(table, units, rows, combine, violates)
     if cyc is None:
         return True, None

@@ -24,7 +24,7 @@ class BadWitness(OddRamseyError):
 
 
 class CapExceeded(OddRamseyError):
-    """An enumeration would exceed its configured budget."""
+    """A search would exceed its work budget."""
 
 
 class InternalContradiction(OddRamseyError):

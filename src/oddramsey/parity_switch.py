@@ -131,11 +131,10 @@ def _compose_cycle(g: SimpleGraph, *segments: tuple[int, ...]) -> CycleOrPath:
 
 
 def _orient(p: CycleOrPath, start: int) -> CycleOrPath:
-    if p.vertices[0] == start:
-        return p
-    if p.vertices[-1] == start:
-        return p.reversed()
-    raise InternalContradiction(f"path does not end at {start}")
+    """``p``, checked to start at ``start``: every caller builds it so."""
+    if p.vertices[0] != start:
+        raise InternalContradiction(f"path does not start at {start}")
+    return p
 
 
 def _rev(p: CycleOrPath) -> tuple[int, ...]:

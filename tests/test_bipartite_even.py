@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
+from oddramsey import bipartite_even
 from oddramsey.bipartite_even import (
     Bipartition,
     EvenCover,
     Miss,
     ParityHypergraph,
     StronglyEvenWitness,
+    _even_mask_count,
     _even_masks,
     _first_even_mask,
     brute_force_even_kst,
@@ -238,6 +240,30 @@ def test_even_masks_match_the_recursive_enumerator():
             )
 
 
+def test_strongly_even_stops_at_its_mask_budget(monkeypatch):
+    cases = [
+        (chi, sp, tp, find_strongly_even(chi, sp, tp))
+        for chi, sp, tp in _kernel_cases() if tp >= 2
+    ]
+    hits = 0
+    for chi, sp, tp, want in cases:
+        # The masks listed up to the answer: through the witness's vertex on
+        # a hit, through every vertex on a certified miss.
+        hit = isinstance(want, StronglyEvenWitness)
+        last = want.side_b[-1] if hit else chi.host.n - 1
+        listed = sum(_even_mask_count(chi, u, sp) for u in range(last + 1))
+        monkeypatch.setattr(bipartite_even, "STRONGLY_EVEN_MASK_BUDGET", listed)
+        assert find_strongly_even(chi, sp, tp) == want
+        monkeypatch.setattr(bipartite_even, "STRONGLY_EVEN_MASK_BUDGET", listed - 1)
+        assert find_strongly_even(chi, sp, tp) == Miss("unknown", "strongly-even")
+        hits += hit
+    assert len(cases) > 40 and 0 < hits < len(cases)
+    # t'=1 lists nothing, so the budget does not bind it.
+    monkeypatch.setattr(bipartite_even, "STRONGLY_EVEN_MASK_BUDGET", 0)
+    chi = random_coloring(12, 3, 5)
+    assert isinstance(find_strongly_even(chi, 4, 1), StronglyEvenWitness)
+
+
 def test_prior_owner_counter_matches_owner_lists():
     outcomes = set()
     for chi, sp, tp in _kernel_cases():
@@ -274,6 +300,7 @@ def test_first_even_mask_is_the_head_of_the_list():
         for u in range(chi.host.n):
             masks = _even_masks(chi, u, sp)
             assert _first_even_mask(chi, u, sp) == (masks[0] if masks else None)
+            assert _even_mask_count(chi, u, sp) == len(masks)
             nones += not masks
     assert nones > 0
 

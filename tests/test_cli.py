@@ -2,13 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from oddramsey.cli import STATUS_CODES, USAGE_EXIT, main
+from oddramsey.cli import STATUS_CODES, USAGE_EXIT, build_parser, main
 from oddramsey.colored_graph import (
     EdgeColoring,
     SimpleGraph,
@@ -144,7 +147,7 @@ def test_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "construct", "unique-upper", "--n", "5")
     assert code == STATUS_CODES["precondition_failed"]
     big = tmp_path / "big.json"
-    big.write_text(instance_to_json(random_coloring(13, 2, 0)))
+    big.write_text(instance_to_json(random_coloring(17, 2, 0)))
     code, out, _ = run_cli(
         capsys, "verify", "cycles", "--input", str(big),
         "--predicate", "even-chromatic",
@@ -154,25 +157,23 @@ def test_exit_codes(tmp_path, capsys):
     inst.write_text(instance_to_json(random_coloring(8, 3, 0)))
     code, out, _ = run_cli(capsys, "find", "unique-free", "--input", str(inst))
     assert code == STATUS_CODES["precondition_failed"]
-
-
-def test_max_n_env_override(tmp_path, capsys, monkeypatch):
-    big = tmp_path / "big.json"
-    big.write_text(instance_to_json(random_coloring(13, 2, 0)))
-    monkeypatch.setenv("ODDRAMSEY_MAX_N", "13")
-    code, out, _ = run_cli(
-        capsys, "verify", "cycles", "--input", str(big),
-        "--predicate", "even-chromatic",
-    )
-    assert code in (0,)  # cap lifted; the check itself runs
-    json.loads(out)
-    monkeypatch.setenv("ODDRAMSEY_MAX_N", "-1")
-    code, out, err = run_cli(
-        capsys, "verify", "cycles", "--input", str(big),
-        "--predicate", "even-chromatic",
-    )
+    code, out, err = run_cli(capsys, "find", "even-kst", "--input", str(inst),
+                             "--s", "3", "--t", "4", "--retry-w")
     assert code == USAGE_EXIT and out == ""
-    assert "ODDRAMSEY_MAX_N" in err
+    assert "unrecognized arguments: --retry-w" in err
+
+
+def test_max_n_env_is_ignored(tmp_path, capsys, monkeypatch):
+    small, big = tmp_path / "k5.json", tmp_path / "k17.json"
+    small.write_text(instance_to_json(random_coloring(5, 2, 0)))
+    big.write_text(instance_to_json(random_coloring(17, 2, 0)))
+    for raw in ("abc", "-1", "20"):
+        monkeypatch.setenv("ODDRAMSEY_MAX_N", raw)
+        for path, status in ((small, "ok"), (big, "cap_exceeded")):
+            code, out, _ = run_cli(capsys, "verify", "cycles", "--input",
+                                   str(path), "--predicate", "odd-chromatic")
+            assert code == STATUS_CODES[status]
+            assert json.loads(out)["status"] == status
 
 
 @pytest.mark.parametrize(
@@ -267,8 +268,9 @@ def test_stdout_byte_identical(tmp_path, capsys):
 
 
 # SHA-256 of each command's stdout, taken before the color table replaced
-# the edge-keyed color map.  A change of representation must not change a
-# single output byte.
+# the edge-keyed color map (the last two before `verify cycles` lost its
+# enumeration fallback and `find even-kst` its --retry-w flag).  A change
+# of representation must not change a single output byte.
 PINNED_STDOUT_SHA256 = {
     "gen-random-12": (
         0,
@@ -302,6 +304,14 @@ PINNED_STDOUT_SHA256 = {
         0,
         "1194b04027c0e968ec3e06634717aef9ffd67b486211b9edc15d014e42c63d82",
     ),
+    "verify-cycles-unique-upper-10": (
+        0,
+        "482012205d8a44f3caad23046b94409786f61b0daadc37a67aa39c154367d4c3",
+    ),
+    "find-even-kst-60-s5": (
+        0,
+        "7d486b7471d0be99fbdc0e7d76ff41cf13461e082267952a8cee6dc1cf14bcc2",
+    ),
 }
 
 
@@ -321,7 +331,8 @@ def _pinned_outputs(tmp_path, capsys) -> dict[str, tuple[int, str]]:
 
     gen12 = written("gen12", run("gen-random-12", "gen", "random", "--n", "12",
                                  "--r", "3", "--seed", "1"))
-    run("construct-unique-upper-10", "construct", "unique-upper", "--n", "10")
+    upper10 = written("upper10", run("construct-unique-upper-10", "construct",
+                                     "unique-upper", "--n", "10"))
     run("export-dot", "export", "dot", "--input", gen12)
     floor20 = random_min_degree_graph(20, 12, 1)  # delta >= n/2 + 2
     run("find-even-hamilton-20", "find", "even-hamilton", "--input",
@@ -339,6 +350,12 @@ def _pinned_outputs(tmp_path, capsys) -> dict[str, tuple[int, str]]:
         "--predicate", "odd-chromatic")
     run("oracle-exact-6", "oracle", "exact", "--n", "6", "--mode", "odd",
         "--r", "2")
+    run("verify-cycles-unique-upper-10", "verify", "cycles", "--input", upper10,
+        "--predicate", "has-unique-color")
+    _, gen60, _ = run_cli(capsys, "gen", "random", "--n", "60", "--r", "4",
+                          "--seed", "1")
+    run("find-even-kst-60-s5", "find", "even-kst", "--input",
+        written("gen60", gen60), "--s", "5", "--t", "6", "--t-prime", "10")
     return out
 
 
@@ -451,19 +468,6 @@ def test_oracle_past_its_four_color_cap_exits_6(capsys):
     }
 
 
-@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
-def test_max_n_env_not_an_integer_is_usage_error(tmp_path, capsys,
-                                                 monkeypatch, raw):
-    inst = tmp_path / "k5.json"
-    inst.write_text(instance_to_json(random_coloring(5, 2, 0)))
-    monkeypatch.setenv("ODDRAMSEY_MAX_N", raw)
-    code, out, err = run_cli(capsys, "verify", "cycles", "--input", str(inst),
-                             "--predicate", "odd-chromatic")
-    assert code == USAGE_EXIT and out == ""
-    assert (f"usage error: ODDRAMSEY_MAX_N must be a non-negative integer, "
-            f"got {raw!r}") in err
-
-
 def test_even_kst_strongly_even_miss_payload(tmp_path, capsys):
     # A rainbow K_6: no two edges at a vertex share a color, so no vertex
     # has an even 2-neighborhood and the strongly-even index misses.
@@ -475,6 +479,19 @@ def test_even_kst_strongly_even_miss_payload(tmp_path, capsys):
                            "--s", "2", "--t", "3")
     assert code == STATUS_CODES["not_found"] == 2
     assert out == '{"stage": "strongly-even", "status": "not_found"}\n'
+
+
+def test_even_kst_past_the_mask_budget_is_unknown(tmp_path, capsys):
+    # Vertex 0 of this 2-colored K_400 has about 5*10^8 even
+    # 4-neighborhoods: its count alone passes the budget, so none is listed.
+    inst = tmp_path / "k400.json"
+    inst.write_text(instance_to_json(random_coloring(400, 2, 3)))
+    started = time.monotonic()
+    code, out, _ = run_cli(capsys, "find", "even-kst", "--input", str(inst),
+                           "--s", "4", "--t", "2")
+    assert time.monotonic() - started < 10.0
+    assert code == STATUS_CODES["unknown"] == 3
+    assert out == '{"stage": "strongly-even", "status": "unknown"}\n'
 
 
 def test_even_kst_single_column_answers_fast_on_a_dense_host(tmp_path, capsys):
@@ -491,3 +508,22 @@ def test_even_kst_single_column_answers_fast_on_a_dense_host(tmp_path, capsys):
         assert json.loads(out) == {"A": side_a, "B": [0],
                                    "census": {"2": len(side_a)},
                                    "status": "ok"}
+
+
+def _readme_usage_lines() -> list[str]:
+    """The ``oddramsey ...`` lines of the README's CLI usage block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("oddramsey ")]
+
+
+def test_readme_usage_parses_with_and_without_optional_flags():
+    lines = _readme_usage_lines()
+    assert len(lines) == 8
+    for line in lines:
+        for variant in (re.sub(r"\[([^]]*)\]", r"\1", line),
+                        re.sub(r"\s*\[[^]]*\]", "", line)):
+            argv = shlex.split(variant, comments=True)[1:]
+            if ">" in argv:
+                argv = argv[: argv.index(">")]
+            build_parser().parse_args(argv)  # a usage error raises

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oddramsey import constructions
@@ -59,7 +61,7 @@ def test_verify_every_cycle_modes():
     with pytest.raises(PreconditionFailed):
         verify_every_cycle(mono, "no-such-predicate")
     with pytest.raises(CapExceeded):
-        verify_every_cycle(mono_coloring(13), "even-chromatic")
+        verify_every_cycle(mono_coloring(17), "even-chromatic")
 
 
 _REFERENCE_PREDICATES = {
@@ -72,7 +74,7 @@ _REFERENCE_PREDICATES = {
 def _verify_by_enumeration(chi, predicate):
     """The enumeration loop that verify_every_cycle replaced, as reference."""
     pred = _REFERENCE_PREDICATES[predicate]
-    for cyc in enumerate_hamilton_cycles(chi.host):
+    for cyc in enumerate_hamilton_cycles(chi.host, cap=14):
         if not pred(cycle_census(chi, cyc)):
             return False, cyc
     return True, None
@@ -87,9 +89,17 @@ def _small_instances(count):
         yield random_edge_coloring(host, 1 + i // 18 % 4, 2000 + i)
 
 
+def _sparse_instances(count):
+    """Seeded colorings of sparse n = 13, 14 hosts: past the enumerator's
+    default vertex cap, inside the table's."""
+    for i in range(count):
+        host = random_min_degree_graph(13 + i % 2, 3 + i // 2 % 2, 3000 + i)
+        yield random_edge_coloring(host, 1 + i // 4 % 4, 4000 + i)
+
+
 def test_verify_table_matches_enumeration():
     queries = failures = 0
-    for chi in _small_instances(240):
+    for chi in [*_small_instances(240), *_sparse_instances(16)]:
         for predicate in _REFERENCE_PREDICATES:
             got = verify_every_cycle(chi, predicate)
             want = _verify_by_enumeration(chi, predicate)
@@ -101,27 +111,51 @@ def test_verify_table_matches_enumeration():
             else:
                 assert got[1] is None
             queries += 1
-    assert queries >= 450 and failures >= 150
+    assert queries == 768 and failures >= 150
 
 
-def test_verify_over_budget_runs_the_enumeration(monkeypatch):
-    listed = []
-
-    def counting_enumeration(g, cap):
+def _counting_enumeration(listed):
+    def enumeration(g, cap=12):
         for cyc in enumerate_hamilton_cycles(g, cap):
             listed.append(cyc)
             yield cyc
 
-    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles", counting_enumeration)
-    cases = [(chi, p) for chi in _small_instances(12) for p in _REFERENCE_PREDICATES]
-    by_table = [verify_every_cycle(chi, p) for chi, p in cases]
-    assert listed == []
+    return enumeration
+
+
+def test_verify_over_budget_raises_without_listing_cycles(monkeypatch):
+    listed = []
+    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles",
+                        _counting_enumeration(listed))
+    cases = [
+        (chi, p) for chi in _small_instances(12) if chi.host.n >= 6
+        for p in _REFERENCE_PREDICATES
+    ]
+    for chi, p in cases:
+        verify_every_cycle(chi, p)  # inside the real budget
     monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 5)
-    for (chi, p), want in zip(cases, by_table):
-        got = verify_every_cycle(chi, p)
-        assert got[0] == want[0]
-        assert (got[1] and got[1].vertices) == (want[1] and want[1].vertices)
-    assert len(listed) > len(cases)
+    for chi, p in cases:
+        with pytest.raises(CapExceeded, match=r"^cycle verification table "
+                                              r"passed 5 color states$"):
+            verify_every_cycle(chi, p)
+    assert len(cases) == 18 and listed == []
+
+
+def test_verify_stops_at_the_real_state_budget(monkeypatch):
+    # Under has-unique-color every color set of a rainbow K_12 path is its
+    # own state; the old fallback then faced 19,958,400 cycles.
+    listed = []
+    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles",
+                        _counting_enumeration(listed))
+    host = SimpleGraph.complete(12)
+    rainbow = EdgeColoring(host, 66, {e: i + 1 for i, e in enumerate(host.edges())})
+    for chi in (rainbow, random_coloring(12, 12, 1)):
+        started = time.monotonic()
+        with pytest.raises(CapExceeded, match=r"^cycle verification table "
+                                              r"passed 1000000 color states$"):
+            verify_every_cycle(chi, "has-unique-color")
+        assert time.monotonic() - started < 5.0
+    assert listed == []
 
 
 def test_verify_rechecks_the_located_cycle(monkeypatch):
@@ -134,9 +168,13 @@ def test_verify_rechecks_the_located_cycle(monkeypatch):
         verify_every_cycle(chi, "odd-chromatic")
 
 
-def test_verify_edges_of_the_range():
-    with pytest.raises(CapExceeded, match=r"^enumeration capped at n <= 12, got n = 13$"):
-        verify_every_cycle(mono_coloring(13), "has-unique-color")
+def test_verify_edges_of_the_range(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built above the vertex cap")
+
+    monkeypatch.setattr(constructions, "_path_state_table", no_table)
+    with pytest.raises(CapExceeded, match=r"^cycle verification capped at n <= 16, got n = 17$"):
+        verify_every_cycle(mono_coloring(17), "has-unique-color")
     single = EdgeColoring(SimpleGraph(1, []), 1, {})
     for chi in (single, mono_coloring(2)):
         for predicate in _REFERENCE_PREDICATES:
