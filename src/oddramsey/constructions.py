@@ -7,7 +7,12 @@ bit-identical instances on every platform; the update is documented in
 The exact oracle enumerates colorings canonically up to color-class
 permutation (the first edge gets color 1 and each new color is introduced
 in order), pruning a branch as soon as some fully-colored Hamilton cycle
-violates the requested predicate.
+violates the requested predicate.  It checks the cycles bit-sliced: each
+Hamilton cycle of K_n owns a few lane bits, one per tracked color, in two
+big ints carried down the search, so coloring an edge is one or three int
+operations and the cycles that close at that edge are tested together by
+one masked add; the nodes above the first closing edge, which cannot
+prune, are tested in batches of leaves (see :func:`exact_ramsey`).
 
 :func:`verify_every_cycle` checks one coloring without listing its
 Hamilton cycles: a Held–Karp table over (visited set, endpoint) holds the
@@ -254,12 +259,126 @@ def _oracle_cap_ok(n: int, r: int) -> bool:
     return n <= 5
 
 
+def _cycle_lanes(host: SimpleGraph, width: int) -> tuple[list[int], list[int]]:
+    """``(through, closing)`` masks over the Hamilton cycles of the host.
+
+    Cycles are numbered by their highest edge index (edges in lexicographic
+    order; ties in canonical enumeration order), and cycle c owns the
+    ``width`` bits from ``c * width``.  ``through[j]`` sets the lowest of
+    those bits for every cycle using edge j, ``closing[i]`` for every cycle
+    whose highest edge is i.  The cycles closing at one edge therefore fill
+    one bit window, low in the ints for the first closing edges, which
+    carry most search nodes.  Each mask is filled in a bytearray and
+    converted once, in time linear in the total length of the cycles.
+    """
+    index = [[0] * host.n for _ in range(host.n)]
+    for j, (u, v) in enumerate(host.edges()):
+        index[u][v] = index[v][u] = j
+    m = host.edge_count()
+    by_top: list[list[list[int]]] = [[] for _ in range(m)]
+    for cyc in enumerate_hamilton_cycles(host):
+        vs = cyc.vertices
+        es = [index[a][b] for a, b in zip(vs, vs[1:] + vs[:1])]
+        by_top[max(es)].append(es)
+    size = (sum(map(len, by_top)) * width + 7) // 8
+    through = [bytearray(size) for _ in range(m)]
+    closing = [bytearray(size) for _ in range(m)]
+    pos = 0
+    for top, cycles in enumerate(by_top):
+        for es in cycles:
+            byte, bit = pos >> 3, 1 << (pos & 7)
+            for e in es:
+                through[e][byte] |= bit
+            closing[top][byte] |= bit
+            pos += width
+    return (
+        [int.from_bytes(b, "little") for b in through],
+        [int.from_bytes(b, "little") for b in closing],
+    )
+
+
+# Most leaves one batch of the exact oracle tests at once.
+BATCH_LEAVES = 4096
+
+
+def _paint(odd: bool, q: int, seen: int, many: int) -> tuple[int, int]:
+    """The exact oracle's lanes after one more edge in each lane set in q:
+    a parity flip in odd mode, a count saturating at two in unique mode."""
+    return (seen ^ q, many) if odd else (seen | q, many | seen & q)
+
+
+def _batches(spread, closing, lanes: int, palette: int, odd: bool) -> list:
+    """The exact oracle's batches, indexed by their first edge.
+
+    A batch at edge i covers edges i..e-1, none of which closes a cycle,
+    where e is the next edge that does, and it has at most
+    ``BATCH_LEAVES`` leaves (colorings of those edges, the first edge's
+    color most significant).  Its entry is ``(e, leaves, cols)``: for each
+    lane bit p of a cycle closing at e, ``cols[p]`` holds two leaf-indexed
+    ints, bit y of which is the ``seen`` and ``many`` bit that leaf y's
+    colors put in lane bit p.  Entries grow from e downwards, one edge's
+    colors at a time.
+    """
+    batches: list = [None] * len(spread)
+    for i in reversed(range(len(spread) - 1)):
+        if closing[i]:
+            continue
+        if closing[i + 1]:
+            end, leaves = i + 1, 1
+            cols = {p: (0, 0) for g in _bits(closing[end]) for p in range(g, g + lanes)}
+        elif batches[i + 1] is None:
+            continue
+        if leaves * palette > BATCH_LEAVES:
+            continue
+        ones = (1 << leaves) - 1
+        grown = {}
+        for p, (s, t) in cols.items():
+            parts = [
+                _paint(odd, ones, s, t) if q >> p & 1 else (s, t) for q in spread[i]
+            ]
+            grown[p] = tuple(
+                sum(x << k * leaves for k, x in enumerate(col)) for col in zip(*parts)
+            )
+        cols, leaves = grown, leaves * palette
+        batches[i] = (end, leaves, cols)
+    return batches
+
+
 def exact_ramsey(n: int, mode: str, r: int) -> OracleResult:
     """Decide whether some r-coloring of K_n leaves every Hamilton cycle
     odd-chromatic (mode "odd") or with a unique color (mode "unique").
 
     Colorings are enumerated up to color-class permutation; a branch dies
-    on the first fully-colored violating cycle.
+    on the first fully-colored violating cycle, that is, when the edge it
+    colors is the highest edge of some cycle that then fails.
+
+    The check is bit-sliced over the cycles (``_cycle_lanes``): each cycle
+    owns one lane bit per tracked color and a guard bit above them, in two
+    ints carried down the recursion.  In unique mode every color is tracked
+    and coloring edge i with color k sets ``many |= seen & q`` and then
+    ``seen |= q``, where q is ``through[i]`` shifted to lane k; a lane then
+    says "exactly once" iff its ``seen`` and ``many`` bits differ.  In odd
+    mode a lane is the parity of its color, ``seen ^= q``, and ``many``
+    stays 0.  A cycle is good iff one of its lanes is set, and adding the
+    all-lanes mask carries exactly those cycles into their guard bits, so
+    the cycles closing at edge i pass together iff ``(x + window) & guard``
+    equals ``guard``, with x the lanes of those cycles and window, guard
+    their lane and guard bits.  The test reads only that bit window and
+    runs before the full update, which only surviving branches pay.
+
+    Odd mode tracks r - 1 colors: for even n a cycle has even length, so
+    the last color's count is even iff all the others' sum is, and all r
+    counts are even iff the first r - 1 are.  For odd n every cycle has an
+    odd count of some color, no branch can die, and no cycle is listed.
+    Colors above m = C(n, 2) never occur, so they are not tracked either.
+
+    Nodes that color no closing edge never die, so where every color is
+    already in use and the next closing edge e is near, the whole subtree
+    down to e is tested at once (``_batches``): the lanes of the cycles
+    closing at e become leaf-indexed ints, and a few big-int operations per
+    cycle give, for each color of e, the leaves that pass.  Only those are
+    expanded, in search order, and the nodes the search would have visited
+    are counted, up to the leaf that succeeds if one does.
     """
     if mode not in ("odd", "unique"):
         raise PreconditionFailed("mode must be 'odd' or 'unique'")
@@ -269,46 +388,108 @@ def exact_ramsey(n: int, mode: str, r: int) -> OracleResult:
         raise CapExceeded(f"exact oracle capped below n={n}, r={r}")
     host = SimpleGraph.complete(n)
     edges = list(host.edges())
-    index = {e: i for i, e in enumerate(edges)}
-    cycles = [
-        [index[e] for e in cyc.edges()]
-        for cyc in enumerate_hamilton_cycles(host)
-    ]
-    # Cycles become checkable once their highest-indexed edge is colored.
-    closing: list[list[list[int]]] = [[] for _ in edges]
-    for cyc in cycles:
-        closing[max(cyc)].append(cyc)
-    ok = (
-        (lambda counts: 1 in counts)
-        if mode == "unique"
-        else (lambda counts: any(c % 2 for c in counts))
-    )
-    assignment = [0] * len(edges)
+    m = len(edges)
+    odd = mode == "odd"
+    palette = min(r, m)
+    lanes = palette - 1 if odd else palette
+    if odd and n % 2:
+        through = closing = [0] * m
+    else:
+        through, closing = _cycle_lanes(host, lanes + 1)
+    spread = [[q << k for k in range(lanes)] + [0] * (palette - lanes)
+              for q in through]
+    windows = [c * ((1 << lanes) - 1) for c in closing]
+    guards = [c << lanes for c in closing]
+    batches = _batches(spread, closing, lanes, palette, odd)
+    assignment = [0] * m
     nodes = 0
 
-    def assign(i: int, used: int) -> bool:
+    def assign(i: int, used: int, seen: int, many: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if i == len(edges):
+        if i == m:
             return True
-        for color in range(1, min(used + 1, r) + 1):
-            assignment[i] = color
-            good = True
-            for cyc in closing[i]:
-                counts = [0] * r
-                for j in cyc:
-                    counts[assignment[j] - 1] += 1
-                if not ok(counts):
-                    good = False
-                    break
-            if good and assign(i + 1, max(used, color)):
+        if used == palette and batches[i]:
+            return expand(i, seen, many)
+        qs, window, guard = spread[i], windows[i], guards[i]
+        if guard:
+            # The closing cycles use edge i, so color k flips lane k of
+            # each unless that lane is already "many".
+            many_w = many & window
+            once = seen & window ^ many_w
+            flip = window ^ many_w
+        for k in range(used + 1 if used < palette else palette):
+            q = qs[k]
+            if guard and (once ^ q & flip) + window & guard != guard:
+                continue
+            # _paint, inlined: this loop runs once per search node
+            s, t = (seen ^ q, many) if odd else (seen | q, many | seen & q)
+            if assign(i + 1, used + (k == used), s, t):
+                assignment[i] = k + 1
                 return True
-        assignment[i] = 0
         return False
 
-    if assign(0, 0):
+    def expand(i: int, seen: int, many: int) -> bool:
+        nonlocal nodes
+        e, leaves, cols = batches[i]
+        ones = (1 << leaves) - 1
+        passes = [ones] * palette
+        for g in _bits(closing[e]):
+            once, fresh = [], []
+            for p in range(g, g + lanes):
+                s, t = cols[p]
+                if seen >> p & 1:
+                    s, t = _paint(odd, ones, s, t)
+                if many >> p & 1:
+                    t = ones
+                once.append(s ^ t)
+                s, t = _paint(odd, ones, s, t)  # after edge e in this lane
+                fresh.append(s ^ t)
+            for k in range(palette):
+                good = fresh[k] if k < lanes else 0
+                for d, x in enumerate(once):
+                    if d != k:
+                        good |= x
+                passes[k] &= good
+        union = 0
+        for x in passes:
+            union |= x
+        depth = e - i
+
+        def walk(j: int, y: int, seen: int, many: int) -> bool:
+            # Leaf y's first j edges are colored; enter only passing leaves.
+            nonlocal nodes
+            if j == depth:
+                for k in range(palette):
+                    if passes[k] >> y & 1 and assign(
+                        e + 1, palette, *_paint(odd, spread[e][k], seen, many)
+                    ):
+                        assignment[e] = k + 1
+                        nodes += visited(y)
+                        return True
+                return False
+            span = palette ** (depth - j - 1)
+            for c in range(palette):
+                z = y + c * span
+                if union >> z & (1 << span) - 1 and walk(
+                    j + 1, z, *_paint(odd, spread[i + j][c], seen, many)
+                ):
+                    assignment[i + j] = c + 1
+                    return True
+            return False
+
+        def visited(y: int) -> int:
+            # nodes below i the search visits up to and including leaf y
+            return sum(y // palette ** (depth - j) + 1 for j in range(1, depth + 1))
+
+        if walk(0, 0, seen, many):
+            return True
+        nodes += visited(leaves - 1)
+        return False
+
+    if assign(0, 0, 0, 0):
         witness = EdgeColoring(
-            host, r, {e: assignment[i] for i, e in enumerate(index)}
+            host, r, {e: assignment[i] for i, e in enumerate(edges)}
         )
         return OracleResult(True, witness, nodes)
     return OracleResult(False, None, nodes)

@@ -445,6 +445,7 @@ def test_acceptance_8_extended_n8_r2(capsys):
     # on every Hamilton cycle.
     res = exact_ramsey(8, "unique", 2)
     assert res.exists is False
+    assert res.nodes == 524_544
     _report(capsys, "8x", f"extended n=8, r=2 entry false after {res.nodes} nodes")
 
 

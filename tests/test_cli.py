@@ -268,9 +268,10 @@ def test_stdout_byte_identical(tmp_path, capsys):
 
 
 # SHA-256 of each command's stdout, taken before the color table replaced
-# the edge-keyed color map (the last two before `verify cycles` lost its
-# enumeration fallback and `find even-kst` its --retry-w flag).  A change
-# of representation must not change a single output byte.
+# the edge-keyed color map (the two after `oracle-exact-6` before `verify
+# cycles` lost its enumeration fallback and `find even-kst` its --retry-w
+# flag, the last five before the exact oracle's cycles were bit-sliced).
+# A change of representation must not change a single output byte.
 PINNED_STDOUT_SHA256 = {
     "gen-random-12": (
         0,
@@ -311,6 +312,26 @@ PINNED_STDOUT_SHA256 = {
     "find-even-kst-60-s5": (
         0,
         "7d486b7471d0be99fbdc0e7d76ff41cf13461e082267952a8cee6dc1cf14bcc2",
+    ),
+    "oracle-exact-4-odd-3": (
+        0,
+        "23baae8af360995307a61c623d1a680b16b2bb2836088fe00b56171897abd778",
+    ),
+    "oracle-exact-5-unique-3": (
+        0,
+        "9cf8d291e6d392f55acd4fd38282e26f53d3f9dc334f8a49651c2a2aeca66f46",
+    ),
+    "oracle-exact-5-unique-4": (
+        0,
+        "707593ae8582c4a9194688fd14aafdc3e55c6db88d1a1c59e3209e54bf9b1b6e",
+    ),
+    "oracle-exact-6-odd-3": (
+        0,
+        "c3b0db1852ff81e5e5cd8eb05be92778f09a880e4f211b41913dba510ddb6b35",
+    ),
+    "oracle-exact-6-unique-3": (
+        0,
+        "20a76810e59ae78f9a817f24370a51dbee65a6992aa56caace4f99f955a4caee",
     ),
 }
 
@@ -356,6 +377,10 @@ def _pinned_outputs(tmp_path, capsys) -> dict[str, tuple[int, str]]:
                           "--seed", "1")
     run("find-even-kst-60-s5", "find", "even-kst", "--input",
         written("gen60", gen60), "--s", "5", "--t", "6", "--t-prime", "10")
+    for n, mode, r in ((4, "odd", 3), (5, "unique", 3), (5, "unique", 4),
+                       (6, "odd", 3), (6, "unique", 3)):
+        run(f"oracle-exact-{n}-{mode}-{r}", "oracle", "exact", "--n", str(n),
+            "--mode", mode, "--r", str(r))
     return out
 
 

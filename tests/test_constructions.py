@@ -1,4 +1,6 @@
+import random
 import time
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -237,6 +239,135 @@ def test_exact_ramsey_cap_for_four_or_more_colors():
     for r in (4, 9):
         with pytest.raises(CapExceeded, match=r"^exact oracle capped below n=6"):
             exact_ramsey(6, "odd", r)
+
+
+def _count_loop_oracle(n, mode, r, cycles=None):
+    """The exact oracle as it was before its cycles were bit-sliced: the
+    same canonical search, checking each closing cycle by a count loop,
+    over the Hamilton cycles of K_n or the given ones.  Returns (exists,
+    nodes, witness items or None)."""
+    host = SimpleGraph.complete(n)
+    edges = list(host.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    closing = [[] for _ in edges]
+    for cyc in cycles or enumerate_hamilton_cycles(host):
+        ids = [index[e] for e in cyc.edges()]
+        closing[max(ids)].append(ids)
+    ok = (
+        (lambda counts: 1 in counts)
+        if mode == "unique"
+        else (lambda counts: any(c % 2 for c in counts))
+    )
+    assignment = [0] * len(edges)
+    nodes = 0
+
+    def assign(i, used):
+        nonlocal nodes
+        nodes += 1
+        if i == len(edges):
+            return True
+        for color in range(1, min(used + 1, r) + 1):
+            assignment[i] = color
+            good = True
+            for cyc in closing[i]:
+                counts = [0] * r
+                for j in cyc:
+                    counts[assignment[j] - 1] += 1
+                if not ok(counts):
+                    good = False
+                    break
+            if good and assign(i + 1, max(used, color)):
+                return True
+        assignment[i] = 0
+        return False
+
+    if assign(0, 0):
+        return True, nodes, list(zip(edges, assignment))
+    return False, nodes, None
+
+
+_PREDICATE = {"odd": "odd-chromatic", "unique": "has-unique-color"}
+# Every (n, r) the caps admit with n <= 7 and r <= 5, plus palettes larger
+# than the C(n, 2) edges, which no canonical coloring can fill.
+_ADMITTED = [
+    (n, r) for n in range(3, 8) for r in range(1, 6)
+    if constructions._oracle_cap_ok(n, r)
+] + [(4, 9), (5, 12)]
+
+
+def _assert_same_search(got, want):
+    exists, nodes, items = want
+    assert (got.exists, got.nodes) == (exists, nodes)
+    assert (got.witness and list(got.witness.items())) == items
+
+
+@pytest.mark.parametrize("mode", ["odd", "unique"])
+def test_exact_ramsey_matches_the_count_loop(mode, monkeypatch):
+    # BATCH_LEAVES = 1 batches no palette above 1: one node at a time.
+    for n, r in _ADMITTED:
+        want = _count_loop_oracle(n, mode, r)
+        for batch in (constructions.BATCH_LEAVES, 1):
+            monkeypatch.setattr(constructions, "BATCH_LEAVES", batch)
+            got = exact_ramsey(n, mode, r)
+            _assert_same_search(got, want)
+        if got.exists:
+            assert got.witness.r == r
+            assert verify_every_cycle(got.witness, _PREDICATE[mode]) == (True, None)
+
+
+def test_exact_ramsey_batches_match_the_count_loop_on_cycle_subsets(monkeypatch):
+    # On K_n's own cycles every witness lies below the all-color-1 prefix,
+    # which no batch covers.  Some subsets of those cycles, such as cycles 5
+    # and 11 of K_5 in unique mode with r = 2, are satisfied only inside a
+    # batch, which must then count the nodes up to the leaf that succeeds.
+    rng = random.Random(7)
+    for n in (5, 6):
+        every = list(enumerate_hamilton_cycles(SimpleGraph.complete(n)))
+        picks = [[every[5], every[11]]] if n == 5 else []
+        picks += [rng.sample(every, rng.randint(1, 8)) for _ in range(30)]
+        for cycles in picks:
+            monkeypatch.setattr(
+                constructions, "enumerate_hamilton_cycles", lambda g: iter(cycles)
+            )
+            for mode in ("odd", "unique")[n % 2 :]:
+                for r in (2, 3):
+                    got = exact_ramsey(n, mode, r)
+                    _assert_same_search(got, _count_loop_oracle(n, mode, r, cycles))
+
+
+def test_exact_ramsey_agrees_with_brute_force():
+    # all r^m colorings, no canonical form and no pruning
+    for n, top in ((4, 3), (5, 2)):
+        edges = list(combinations(range(n), 2))
+        cycles = [
+            [edges.index(tuple(sorted(p))) for p in zip(c, c[1:] + c[:1])]
+            for c in ((0, *rest) for rest in permutations(range(1, n)))
+            if c[1] < c[-1]
+        ]
+        for r in range(1, top + 1):
+            found = {"odd": False, "unique": False}
+            for colors in product(range(1, r + 1), repeat=len(edges)):
+                counts = [
+                    [sum(colors[j] == k for j in cyc) for k in range(1, r + 1)]
+                    for cyc in cycles
+                ]
+                found["odd"] |= all(any(c % 2 for c in cs) for cs in counts)
+                found["unique"] |= all(1 in cs for cs in counts)
+            for mode, exists in found.items():
+                assert exact_ramsey(n, mode, r).exists is exists, (n, mode, r)
+
+
+@pytest.mark.parametrize(
+    "args, verdict, nodes",
+    [
+        ((8, "odd", 2), False, 528_384),
+        ((6, "odd", 3), False, 46_325),
+        ((6, "unique", 3), False, 35_945),
+    ],
+)
+def test_exact_ramsey_pinned_work(args, verdict, nodes):
+    res = exact_ramsey(*args)
+    assert (res.exists, res.nodes) == (verdict, nodes)
 
 
 def test_upper_coloring_table_matches_the_block_rule():
