@@ -157,7 +157,9 @@ def even_neighborhoods(
     """All vertex sets S of size s' whose star at u has an all-even census.
 
     The masks of ``_even_masks``, in its order, decoded to frozensets, so
-    this view and the strongly-even index share one enumerator.
+    this view and the strongly-even index share one enumerator.  Test
+    reference: ``test_strongly_even_matches_frozenset_index`` rebuilds
+    find_strongly_even as a frozenset-keyed index over it.
     """
     return (frozenset(_bits(m)) for m in _even_masks(chi, u, s_prime))
 
@@ -451,7 +453,11 @@ def _assert_even(chi: EdgeColoring, b: Bipartition) -> None:
 def brute_force_even_kst(
     chi: EdgeColoring, s: int, t: int, budget: int = 10_000_000
 ) -> Bipartition | Miss:
-    """Oracle: exhaustive scan of all (A, B) splits by direct census."""
+    """Oracle: exhaustive scan of all (A, B) splits by direct census.
+
+    Test reference: ``test_acceptance_7_kst_pipeline_soundness`` checks every
+    ``not_found`` of find_even_chromatic_kst at n <= 12 against it.
+    """
     n = chi.host.n
     if s < 1 or t < 1 or s + t > n:
         raise PreconditionFailed("need s, t >= 1 with s + t <= n")

@@ -107,6 +107,8 @@ class SimpleGraph:
         return all(len(nb) == self.n - 1 for nb in self._nbrs)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        """Test reference: ``test_closure_trace_replay_on_random_graphs``
+        replays a closure trace through it to rebuild the closure."""
         rows = list(self._rows)
         _add_pairs(rows, extra)
         return SimpleGraph._from_rows(rows)
@@ -198,9 +200,6 @@ class ParityCensus:
 
     def has_unique_color(self) -> bool:
         return bool(self.unique_colors)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def __add__(self, other: "ParityCensus") -> "ParityCensus":
         return ParityCensus(dict(Counter(self.counts) + Counter(other.counts)))

@@ -29,7 +29,3 @@ class CapExceeded(OddRamseyError):
 
 class InternalContradiction(OddRamseyError):
     """A state the supporting counting arguments prove impossible was reached."""
-
-
-class RecursionExhausted(InternalContradiction):
-    """The bounded case-analysis recursion ran out of depth (logic bug)."""

@@ -345,10 +345,9 @@ def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
 
 
 def hamilton_cycle_avoiding_edge(g: SimpleGraph, forbidden: Edge) -> CycleOrPath:
-    """Hamilton cycle of g whose edge set excludes ``forbidden``."""
-    if g.has_edge(forbidden):
-        g = g.without_edge(forbidden)
-    return dirac_hamilton_cycle(g)
+    """Hamilton cycle of g whose edge set excludes ``forbidden`` (which need
+    not be an edge: removing a non-edge leaves the rows unchanged)."""
+    return dirac_hamilton_cycle(g.without_edge(forbidden))
 
 
 def short_connectors(
@@ -387,12 +386,13 @@ def enumerate_hamilton_cycles(
 
     Canonical form: the cycle starts at vertex 0 and its second vertex is
     smaller than its last, which quotients out rotation and reflection.
+    Graphs below three vertices yield nothing: at n = 1 the lone path (0,)
+    does not close (no self-loops), and at n = 2 the path (0, 1) fails
+    ``p[1] < p[-1]``.
     """
     n = g.n
     if n > cap:
         raise CapExceeded(f"enumeration capped at n <= {cap}, got n = {n}")
-    if n < 3:
-        return
     closing = g.mask(0)
     for p in _hamilton_paths(g, 0):
         if closing >> p[-1] & 1 and p[1] < p[-1]:

@@ -31,7 +31,6 @@ from .errors import (
     InternalContradiction,
     NotFoundError,
     PreconditionFailed,
-    RecursionExhausted,
 )
 from .hamilton import (
     assert_valid_cycle,
@@ -210,8 +209,11 @@ def switch_c6(
 
     Shortest {b,f}- and {c,e}-connectors are chosen first; the case tree
     then branches on their lengths and on the degree profile of the graph
-    left after removing them.  Relabeled re-applications (cases 1.3, 2, 3)
-    are depth-bounded by the chain 3 -> 2 -> 1.
+    left after removing them.  The relabeled re-applications end after at
+    most two steps: connectors have length 1 or 2, the dispatcher's swap
+    turns lengths (2,1) into (1,2), case 2 recurses on two edge connectors
+    (case 1), and case 3 on an edge connector plus a short one (case 1 or
+    2).
 
     The hexagon labeling and the connector interiors are existential
     choices; tight boundary profiles (tiny residual graphs) can strand one
@@ -232,7 +234,7 @@ def switch_c6(
         for q1 in short_connectors(g, b, f, {a, c, d, e}):
             for q2 in short_connectors(g, c, e, {a, d} | set(q1.vertices)):
                 try:
-                    return _c6_dispatch(g, chi, hexa, q1, q2, depth=3)
+                    return _c6_dispatch(g, chi, hexa, q1, q2)
                 except _CaseExhausted as exc:
                     last = exc
     raise InternalContradiction(
@@ -246,10 +248,7 @@ def _c6_dispatch(
     hexa: tuple[int, ...],
     q1: CycleOrPath,
     q2: CycleOrPath,
-    depth: int,
 ) -> SwitchOutcome:
-    if depth <= 0:
-        raise RecursionExhausted("hexagon case analysis exceeded its depth budget")
     hex_cycle = CycleOrPath(hexa, closed=True)
     hex_cycle.validate(g)
     if cycle_census(chi, hex_cycle).is_even_chromatic():
@@ -260,23 +259,22 @@ def _c6_dispatch(
     len1 = len(q1.vertices) - 1
     len2 = len(q2.vertices) - 1
     if len1 == 1 and len2 == 1:
-        return _case1(g, chi, hexa, q1, q2, depth)
+        return _case1(g, chi, hexa, q1, q2)
     if len1 == 2 and len2 == 1:
         # Swap connector roles via the relabeling a<->d, b<->e, c<->f.
         return _c6_dispatch(
-            g, chi, (d, e, f, a, b, c), q2.reversed(), q1.reversed(), depth
+            g, chi, (d, e, f, a, b, c), q2.reversed(), q1.reversed()
         )
     if len1 == 1 and len2 == 2:
-        return _case2(g, chi, hexa, q1, q2, depth)
-    return _case3(g, chi, hexa, q1, q2, depth)
+        return _case2(g, chi, hexa, q1, q2)
+    return _case3(g, chi, hexa, q1, q2)
 
 
 def _residual(
-    g: SimpleGraph, hexa: tuple[int, ...], q1: CycleOrPath, q2: CycleOrPath
+    g: SimpleGraph, q1: CycleOrPath, q2: CycleOrPath
 ) -> tuple[list[int], dict[int, int]]:
     """Vertices kept after removing the hexagon's middle and connector
     interiors, together with their degrees in the induced subgraph."""
-    a, b, c, d, e, f = hexa
     removed = set(q1.vertices) | set(q2.vertices)
     keep = [z for z in range(g.n) if z not in removed]
     sub, old = g.induced(keep)
@@ -299,10 +297,9 @@ def _case1(
     hexa: tuple[int, ...],
     q1: CycleOrPath,
     q2: CycleOrPath,
-    depth: int,
 ) -> SwitchOutcome:
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, hexa, q1, q2)
+    keep, degs = _residual(g, q1, q2)
     np = len(keep)
     if any(2 * k < np for k in degs.values()):
         raise InternalContradiction("residual graph lost the half-degree bound")
@@ -378,20 +375,19 @@ def _case121(
 ) -> SwitchOutcome:
     a, b, c, d, e, f = hexa
     arc1, arc2 = _split_arcs(cyc, a, d)
-    if _on_arc(arc1, u, v):
+    # v follows u on the cycle and neither is a or d, so the edge uv lies
+    # inside one arc: in order on arc1, or reversed on arc2 read from a.
+    if u in arc1:
         p1, p2 = arc1, arc2
     else:
         p1, p2 = arc2[::-1], arc1[::-1]
-        if not _on_arc(p1, u, v):
-            raise InternalContradiction("switch edge lies on neither arc")
-    iu, iv = p1.index(u), p1.index(v)
-    if iu > iv:
-        u, v, iu, iv = v, u, iv, iu
+        u, v = v, u
+    iu = p1.index(u)
     for quad in ((u, b, a, f), (v, c, d, e)):
         delegated = _delegate_if_odd(g, chi, quad)
         if delegated is not None:
             return delegated
-    p1a, p1b = p1[: iu + 1], p1[iv:]
+    p1a, p1b = p1[: iu + 1], p1[iu + 1 :]
     p2int = p2[1:-1]
     cand1 = _compose_cycle(
         g, tuple(p1a), _rev(q1), q2.vertices, tuple(p1b), tuple(p2int)
@@ -405,12 +401,6 @@ def _case121(
     if parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors:
         raise InternalContradiction("reroute difference lost the witness parity")
     return out
-
-
-def _on_arc(arc: list[int], u: int, v: int) -> bool:
-    return any(
-        {arc[i], arc[i + 1]} == {u, v} for i in range(len(arc) - 1)
-    )
 
 
 def _case122(
@@ -479,12 +469,10 @@ def _case13(
     )
 
 
-def _case2(
-    g, chi, hexa, q1, q2, depth: int
-) -> SwitchOutcome:
+def _case2(g, chi, hexa, q1, q2) -> SwitchOutcome:
     """One edge connector, one cherry connector."""
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, hexa, q1, q2)
+    keep, degs = _residual(g, q1, q2)
     np = len(keep)
     if any(2 * k < np - 1 for k in degs.values()):
         raise InternalContradiction("residual graph lost the degree bound")
@@ -507,7 +495,7 @@ def _case2(
     new_hexa = (f, w, b, c, z, e)
     new_q1 = CycleOrPath((w, e))
     new_q2 = CycleOrPath((b, z))
-    out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2, depth - 1)
+    out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
     return SwitchOutcome(
         out.cycle, "c6-switch case-2 -> " + out.provenance,
         out.candidates, out.witness,
@@ -522,12 +510,10 @@ _CASE3_LABELINGS = (
 )
 
 
-def _case3(
-    g, chi, hexa, q1, q2, depth: int
-) -> SwitchOutcome:
+def _case3(g, chi, hexa, q1, q2) -> SwitchOutcome:
     """Two cherry connectors."""
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, hexa, q1, q2)
+    keep, degs = _residual(g, q1, q2)
     np = len(keep)
     p = _try_ad_path(g, keep, a, d)
     if p is not None:
@@ -556,7 +542,7 @@ def _case3(
     new_hexa = (f2, w, b2, c2, d2, e2)
     new_q1 = CycleOrPath((w, e2))
     new_q2 = short_connector(g, b2, d2, {f2, c2, w, e2})
-    out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2, depth - 1)
+    out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
     return SwitchOutcome(
         out.cycle, "c6-switch case-3 -> " + out.provenance,
         out.candidates, out.witness,

@@ -516,32 +516,19 @@ def merge_cherries(
                 "no common free cherry center; the counting bound failed"
             )
         w1, w2, v = found
-        idx = _endpoint_index(coll)
-        i = idx[w1]
-        pi = coll.paths[i]
+        pi = coll.paths[_endpoint_index(coll)[w1]]
         if pi[-1] != w1:
             pi.reverse()
+        # v is off every path (R minus the centers), so it is now an
+        # endpoint of this path alone.
         pi.append(v)
-        coll.paths[i] = pi
-        _merge_at_vertex_tail(coll, i, w2)
+        _merge_at(coll, v, w2)
         coll.cherry_centers.add(v)
         ledger.note("cherry-merge", center=v, joins=[w1, w2])
     if len(coll.cherry_centers) != start_paths - len(coll.paths):
         raise InternalContradiction("cherry-center count drifted")
     _assert_disjoint(coll)
     return coll
-
-
-def _merge_at_vertex_tail(coll: PreservedCollection, i: int, w2: int) -> None:
-    idx = _endpoint_index(coll)
-    j = idx[w2]
-    if j == i:
-        raise InternalContradiction("cherry merge would close a cycle")
-    pj = coll.paths[j]
-    if pj[0] != w2:
-        pj.reverse()
-    coll.paths[i] = coll.paths[i] + pj
-    del coll.paths[j]
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +588,12 @@ def close_cycle(
     With two paths, contracted stand-ins for the attachment pairs reduce
     the job to one Hamilton cycle found under Dirac's condition; expanding
     them back yields the two disjoint spanning arcs.
+
+    The pipeline calls this with u >= 2 unused colors, and then the pool
+    keeps at least eight vertices: harvest_cherries_matchings leaves
+    |R| >= 4u, merge_endpoints at most (u+3)/2 paths, and merge_cherries
+    spends one center of R per merge down to two paths, at most (u-1)/2.
+    Four attachments thus leave a core of at least four vertices.
     """
     col = coll.color_fn(chi)
     pool = sorted(coll.remaining - coll.cherry_centers)
@@ -625,8 +618,6 @@ def close_cycle(
         z1, z1p, z2, z2p = zs
         core = [v for v in pool if v not in zs]
         k = len(core)
-        if k < 2:
-            continue
         star1, star2 = k, k + 1
         edges = [
             (i, j)
@@ -644,18 +635,15 @@ def close_cycle(
             cyc = dirac_hamilton_cycle(aux)
         except NotFoundError:
             continue
+        # aux has no star1-star2 edge, so the stars are not consecutive on
+        # the cycle and both arcs between them are nonempty.
         rot = list(cyc.vertices)
         i1 = rot.index(star1)
         rot = rot[i1:] + rot[:i1]
         i2 = rot.index(star2)
         arc_a = [core[i] for i in rot[1:i2]]
         arc_b = [core[i] for i in rot[i2 + 1 :]]
-        if not arc_a or not arc_b:
-            continue
-        if f1[-1] != w1p:
-            f1.reverse()
-        if f2[0] != w2p:
-            f2.reverse()
+        f2.reverse()  # now runs w2p..w2
         ledger.note("close", mode="two-paths", attachments=zs)
         return (
             [z1] + f1 + [z1p] + arc_b[::-1] + [z2p] + f2 + [z2] + arc_a[::-1]

@@ -250,6 +250,21 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["nonsense"]) == USAGE_EXIT
 
 
+def test_best_effort_counting_failure_exits_5(monkeypatch, capsys):
+    # Beyond r <= n/4 the unique-free pipeline's counting steps may fail;
+    # the InternalContradiction becomes an internal_contradiction status.
+    _, inst, _ = run_cli(capsys, "gen", "random", "--n", "8", "--r", "3",
+                         "--seed", "0")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(inst))
+    code, out, _ = run_cli(capsys, "find", "unique-free", "--input", "-",
+                           "--best-effort")
+    assert code == STATUS_CODES["internal_contradiction"] == 5
+    assert out == (
+        '{"error": "remaining set shrank below four per unused color", '
+        '"status": "internal_contradiction"}\n'
+    )
+
+
 def test_stdout_byte_identical(tmp_path, capsys):
     inst = tmp_path / "i.json"
     inst.write_text(instance_to_json(random_coloring(10, 2, 4)))

@@ -91,6 +91,11 @@ def test_rows_built_graphs_match_edge_list_graphs(case):
     _assert_graph_is(sub, len(old), kept)
 
 
+def test_reprs_name_size_and_palette():
+    assert repr(SimpleGraph.complete(4)) == "SimpleGraph(n=4, m=6)"
+    assert repr(mono_coloring(5, r=3)) == "EdgeColoring(n=5, r=3)"
+
+
 def test_rows_built_graphs_reject_loops_and_out_of_range():
     g = SimpleGraph(5, [(0, 1)])
     for bad in [(2, 2), (0, 5), (7, 1), (-1, 3)]:

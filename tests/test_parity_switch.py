@@ -149,6 +149,68 @@ def test_switch_c6_case_121_reroute():
     check_outcome(g, chi, out)
 
 
+def _split_host(parts, banned=()):
+    """K_12 minus ``banned`` and every edge inside each of ``parts``."""
+    ban = {edge(*e) for e in banned}
+    for part in parts:
+        ban |= {edge(a, b) for i, a in enumerate(part) for b in part[i + 1 :]}
+    return SimpleGraph(
+        12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+             if edge(u, v) not in ban]
+    )
+
+
+def _coloring_twos(g, twos):
+    """Color 2 on ``twos``, color 1 on every other edge of ``g``."""
+    twos = {edge(*e) for e in twos}
+    return EdgeColoring(g, 2, {e: (2 if e in twos else 1) for e in g.edges()})
+
+
+def test_switch_c6_case_121_reroute_on_the_d_to_a_arc():
+    # residual K_{4,4} on {0,3,6,8 | 7,9,10,11}: the Dirac cycle avoiding
+    # the a-d chord walks 3,7,6,9,8,10,0 from d back to a, and its first
+    # low-low edge 9-8 lies on that arc.  Read from a, the arc gives
+    # u = 8, v = 9, and the reroute opens 8-9: a..u Q1^-1 Q2 v..d, the
+    # other arc's interior, back to a.
+    g = _split_host([(0, 3, 6, 8), (7, 9, 10, 11)])
+    assert min_degree(g) == 8
+    chi = _coloring_twos(g, [(1, 2)])
+    out = switch_c6(g, chi, _hexagon())
+    assert out.provenance == "c6-switch case-1.2.1"
+    check_outcome(g, chi, out)
+    assert [c.vertices for c in out.candidates] == [
+        (0, 10, 8, 5, 1, 2, 4, 9, 6, 7, 3, 11),
+        (0, 10, 8, 1, 5, 4, 2, 9, 6, 7, 3, 11),
+    ]
+
+
+def test_switch_c6_case_122_delegates_on_odd_corner_quad():
+    # residual K_{4,4} on {0,3,7,9 | 6,8,10,11}: the first low-low cycle
+    # edge 11-0 meets the corner a = 0, and the 4-cycle v c d e = 11 2 3 4
+    # is odd (its edge 11-2 has color 2), so case 1.2.2 hands it to the
+    # 4-cycle switch
+    g = _split_host([(0, 3, 7, 9), (6, 8, 10, 11)])
+    chi = _coloring_twos(g, [(1, 2), (2, 11)])
+    out = switch_c6(g, chi, _hexagon())
+    assert out.provenance == "c4-switch (delegated)"
+    assert out.witness.vertices == (11, 2, 3, 4)
+    check_outcome(g, chi, out)
+
+
+def test_switch_c6_case_3_delegates_on_odd_corner_quad():
+    # connectors 1-6-5 and 2-7-4 are cherries, and the residual graph on
+    # {0,3,8,9,10,11} has no Hamilton {0,3}-path; its first low vertex
+    # w = 8 closes the 4-cycle w b a f = 8 1 0 5, odd through 8-1, so case 3
+    # delegates before any relabeling
+    g = _split_host([(0, 3, 6), (8, 9, 10)], banned=[(1, 5), (2, 4)])
+    assert min_degree(g) >= 8
+    chi = _coloring_twos(g, [(1, 2), (1, 8)])
+    out = switch_c6(g, chi, _hexagon())
+    assert out.provenance == "c4-switch (delegated)"
+    assert out.witness.vertices == (8, 1, 0, 5)
+    check_outcome(g, chi, out)
+
+
 def test_switch_c6_case_13():
     # residual K_{4,4} plus a same-side matching: exactly half the residual
     # vertices exceed half degree

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from oddramsey.unique_finder import (
     Claw,
     ColorLedger,
     PreservedCollection,
+    _arc_through_edge,
     _endpoint_index,
+    _iter_attachments,
     _merge_at,
     find_unique_free_hamilton,
     harvest_cherries_matchings,
@@ -361,6 +364,71 @@ def test_merge_cherries_tracks_centers():
     assert len(coll.paths) == 2
     assert len(coll.cherry_centers) == start - 2
     assert coll.cherry_centers <= set(range(6, 18))
+
+
+def test_merge_cherries_joins_the_far_end_of_the_second_path():
+    # vertex 2 sees R only in the unused color 2, so the first cherry joins
+    # w1 = 0 (path [0, 1] turned to end there) to the tail w2 = 3 of
+    # [2, 3], which is turned to start at 3
+    chi = coloring_with(18, 2, {(2, z): 2 for z in range(6, 18)}, base=1)
+    coll, ledger = _hand_state(
+        18, 2, [[0, 1], [2, 3], [4, 5]], range(6, 18), {2}
+    )
+    coll = merge_cherries(chi, coll, ledger)
+    assert coll.paths == [[1, 0, 6, 3, 2], [4, 5]]
+    assert coll.cherry_centers == {6}
+
+
+def _colors_from(table):
+    return lambda w, z: table.get((w, z), 2)
+
+
+def test_iter_attachments_backtracks_in_lexicographic_order():
+    # endpoint 0 may take 4 or 5 and endpoint 1 only 4: the first choice
+    # 0->4 dead-ends and the search backtracks to 0->5, 1->4
+    col = _colors_from({(0, 4): 1, (0, 5): 1, (1, 4): 1})
+    got = list(_iter_attachments(col, [0, 1], [4, 5, 6], lambda c: c == 1))
+    assert got == [[5, 4]]
+    # against a filtered scan of all injective assignments, which
+    # itertools lists in the same lexicographic order
+    rng = random.Random(3)
+    for _ in range(40):
+        ws, pool = [0, 1, 2], [3, 4, 5, 6, 7]
+        table = {(w, z): rng.choice((1, 1, 2)) for w in ws for z in pool}
+        col = _colors_from(table)
+        want = [
+            list(zs)
+            for zs in itertools.permutations(pool, len(ws))
+            if all(col(w, z) == 1 for w, z in zip(ws, zs))
+        ]
+        assert list(_iter_attachments(col, ws, pool, lambda c: c == 1)) == want
+
+
+def test_arc_through_edge_every_placement():
+    pool = list(range(7))
+    hot = (2, 3)
+    for z_tail, z_head in [(2, 6), (3, 6), (0, 2), (0, 3), (0, 6), (6, 0)]:
+        arc = _arc_through_edge(pool, z_tail, z_head, hot)
+        assert sorted(arc) == pool, (z_tail, z_head)
+        assert (arc[0], arc[-1]) == (z_tail, z_head)
+        steps = {edge(x, y) for x, y in zip(arc, arc[1:])}
+        assert edge(*hot) in steps, (z_tail, z_head)
+    # both ends on the hot edge: no longer path can traverse it
+    assert _arc_through_edge(pool, 2, 3, hot) is None
+    assert _arc_through_edge(pool, 3, 2, hot) is None
+
+
+def test_special_case_hot_edge_turns_the_second_path():
+    # the hot edge 0-4 starts the closing at f1 = [0, 1]; its end 1 meets
+    # f2 = [2, 3] in the unused color only at 3, so f2 is turned around
+    chi = coloring_with(8, 2, {(0, 4): 2, (1, 3): 2}, base=1)
+    coll, ledger = _hand_state(8, 2, [[0, 1], [2, 3]], range(4, 8), {2})
+    seq = special_case_single_unused(chi, coll, ledger)
+    assert seq == [4, 0, 1, 3, 2, 5, 6, 7]
+    from oddramsey.colored_graph import CycleOrPath, cycle_census
+
+    census = cycle_census(chi, CycleOrPath(tuple(seq), closed=True))
+    assert census.count(2) == 2
 
 
 def test_special_case_two_paths_hot_edge():
