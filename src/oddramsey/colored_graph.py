@@ -209,9 +209,9 @@ class EdgeColoring:
     """A total map from the host graph's edges to colors ``1..r``.
 
     The map is one color table: ``table[u][v]`` is the color of ``uv``, and
-    0 marks a non-edge.  Every read (``color``, the censuses, ``items``,
-    ``color_rows``, ``colors_present``, the JSON and DOT emitters) indexes
-    it.
+    0 marks a non-edge.  Every read (``color``, ``row``, the censuses,
+    ``items``, ``color_rows``, ``colors_present``, the JSON and DOT
+    emitters) indexes it.
     """
 
     __slots__ = ("host", "r", "_table")
@@ -246,6 +246,14 @@ class EdgeColoring:
         if 0 <= u < n and 0 <= v < n and self._table[u][v]:
             return self._table[u][v]
         raise PreconditionFailed(f"edge {u}-{v} is not in the coloring's host graph")
+
+    def row(self, u: int) -> list[int]:
+        """Vertex ``u``'s row of the color table, shared and not to be
+        mutated: ``row(u)[v]`` is ``color(u, v)`` on a host edge, 0 on a
+        non-edge (``v == u`` included)."""
+        if not 0 <= u < self.host.n:
+            raise PreconditionFailed(f"vertex {u} is not in the coloring's host graph")
+        return self._table[u]
 
     def color_rows(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks of color ``c``: bit ``v`` of row

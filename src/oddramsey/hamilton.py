@@ -344,12 +344,6 @@ def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:
     return found
 
 
-def hamilton_cycle_avoiding_edge(g: SimpleGraph, forbidden: Edge) -> CycleOrPath:
-    """Hamilton cycle of g whose edge set excludes ``forbidden`` (which need
-    not be an edge: removing a non-edge leaves the rows unchanged)."""
-    return dirac_hamilton_cycle(g.without_edge(forbidden))
-
-
 def short_connectors(
     g: SimpleGraph, a: int, b: int, s: set[int] | frozenset[int] = frozenset()
 ) -> Iterator[CycleOrPath]:

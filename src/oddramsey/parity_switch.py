@@ -35,7 +35,6 @@ from .errors import (
 from .hamilton import (
     assert_valid_cycle,
     dirac_hamilton_cycle,
-    hamilton_cycle_avoiding_edge,
     hamilton_path_in_subgraph,
     short_connector,
     short_connectors,
@@ -333,7 +332,9 @@ def _case12(
     sub, old = g.induced(keep)
     pos = {o: i for i, o in enumerate(old)}
     try:
-        found = hamilton_cycle_avoiding_edge(sub, graph_edge(pos[a], pos[d]))
+        found = dirac_hamilton_cycle(
+            sub.without_edge(graph_edge(pos[a], pos[d]))
+        )
     except (NotFoundError, PreconditionFailed):
         # Tiny residual graphs can make the avoiding cycle impossible;
         # a direct Hamilton {a,d}-path still yields the generic candidates.

@@ -28,6 +28,7 @@ without the proxy the endpoint-pair bound on surviving paths fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -126,23 +127,53 @@ class UniqueFreeResult:
 # ---------------------------------------------------------------------------
 
 
+def _first_claw(
+    chi: EdgeColoring, v: int, pool: list[int], unused: set[int]
+) -> Claw | None:
+    """The claw at v in the smallest unused color with three leaves in
+    ``pool`` (increasing, without v), on its first three such leaves.
+
+    One pass buckets the pool by the color of each vertex's edge to v.
+    Buckets fill in increasing vertex order, so a bucket's first three
+    entries are the three leaves a scan of the pool for that one color
+    would take, and the smallest unused color whose bucket holds three is
+    the first color a per-color scan in increasing order would accept.
+    Bucket 0 collects non-edges and raises as ``chi.color`` would; in the
+    pipeline it stays empty, as the host is checked complete and virtual
+    twins appear only after the harvest.  Every caller draws v and the
+    pool from ``range(n)``.
+    """
+    if not unused:
+        return None
+    row = chi.row(v)
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for z in pool:
+        buckets[row[z]].append(z)
+    if 0 in buckets:
+        raise PreconditionFailed(
+            f"edge {v}-{buckets[0][0]} is not in the coloring's host graph"
+        )
+    c = min(
+        (c for c, b in buckets.items() if len(b) >= 3 and c in unused),
+        default=None,
+    )
+    return None if c is None else Claw(v, tuple(buckets[c][:3]), c)
+
+
 def _dangerous_witness(
     chi: EdgeColoring, v: int, remaining: set[int], unused: set[int]
 ) -> Claw | None:
-    """First claw (min color, lexicographic leaves) showing v is dangerous."""
-    pool = sorted(remaining - {v})
-    for c in sorted(unused):
-        leaves = [z for z in pool if chi.color(v, z) == c]
-        if len(leaves) >= 3:
-            return Claw(v, tuple(leaves[:3]), c)
-    return None
+    """First claw (min color, lexicographic leaves) showing v is dangerous:
+    one bucket pass over v's color row, see :func:`_first_claw`."""
+    return _first_claw(chi, v, sorted(remaining - {v}), unused)
 
 
 def _greedy_claws(
     chi: EdgeColoring, seed: list[Claw], ledger: ColorLedger
 ) -> PreservedCollection:
     """Extend ``seed`` to a maximal claw family: centers in increasing id,
-    colors in increasing id, leaves lexicographic."""
+    colors in increasing id, leaves lexicographic.  Each center buckets its
+    color row once over the vertices not yet used (:func:`_first_claw`)."""
     n = chi.host.n
     used: set[int] = set()
     for claw in seed:
@@ -151,18 +182,14 @@ def _greedy_claws(
     for x0 in range(n):
         if x0 in used:
             continue
-        for c in sorted(ledger.unused):
-            leaves = [
-                v
-                for v in range(n)
-                if v != x0 and v not in used and chi.color(x0, v) == c
-            ][:3]
-            if len(leaves) == 3:
-                claw = Claw(x0, tuple(leaves), c)
-                claws.append(claw)
-                used |= claw.vertices()
-                ledger.free_color(c, "claw", center=x0, leaves=leaves)
-                break
+        pool = [v for v in range(n) if v != x0 and v not in used]
+        claw = _first_claw(chi, x0, pool, ledger.unused)
+        if claw is not None:
+            claws.append(claw)
+            used |= claw.vertices()
+            ledger.free_color(
+                claw.color, "claw", center=x0, leaves=list(claw.leaves)
+            )
     coll = PreservedCollection(
         n=n, claws=claws, remaining=set(range(n)) - used
     )
@@ -411,16 +438,19 @@ def merge_endpoints(
     and free their color.  Each rule takes the lexicographically first
     cross pair (endpoints of two different paths) it applies to.
 
-    Rule (i) runs as one forward pass over the cross pairs listed once.
+    Rule (i) runs as one forward pass over the pairs of one sorted listing
+    of the endpoints, row by row: w1 ascending, then w2 > w1 ascending.
     The pass is exact: paths only grow at their ends and never split, so a
     pair that stops being a cross pair never becomes one again, and rule
-    (i) frees no color, so a skipped pair stays skipped.  Each merge of the
-    pass is the first pair a fresh listing would find.  A pass leaves no
-    free-colored cross pair, and ``unused`` and ``free`` partition the
-    palette (twin gadget colors included), so every cross pair rule (ii)
-    sees carries an unused color.  When rule (ii) fires, the color it
-    frees may open pairs before the pass's position, so the pass restarts
-    on a fresh listing.
+    (i) frees no color, so a skipped pair stays skipped.  Each merge of
+    the pass is the first pair a fresh listing would find.  For the same
+    reason an endpoint w1 that turns interior stays interior, so every
+    later pair of its row would be skipped, and the row stops there.  A
+    pass leaves no free-colored cross pair, and ``unused`` and ``free``
+    partition the palette (twin gadget colors included), so every cross
+    pair rule (ii) sees carries an unused color.  When rule (ii) fires,
+    the color it frees may open pairs before the pass's position, so the
+    pass restarts on a fresh listing.
     """
     col = coll.color_fn(chi)
 
@@ -435,15 +465,20 @@ def merge_endpoints(
 
     def rule_i_pass() -> None:
         idx = _endpoint_index(coll)
-        for w1, w2 in cross_pairs(idx):
-            i, j = idx.get(w1), idx.get(w2)
-            if i is None or j is None or i == j:
-                continue
-            c = col(w1, w2)
-            if c in ledger.free:
-                _merge_at(coll, w1, w2)
-                ledger.note("endpoint-merge", at=[w1, w2], color=c)
-                idx = _endpoint_index(coll)
+        eps = sorted(idx)
+        for a, w1 in enumerate(eps):
+            for w2 in eps[a + 1 :]:
+                i = idx.get(w1)
+                if i is None:
+                    break  # w1 is interior for good
+                j = idx.get(w2)
+                if j is None or i == j:
+                    continue
+                c = col(w1, w2)
+                if c in ledger.free:
+                    _merge_at(coll, w1, w2)
+                    ledger.note("endpoint-merge", at=[w1, w2], color=c)
+                    idx = _endpoint_index(coll)
 
     def rule_ii() -> bool:
         idx = _endpoint_index(coll)

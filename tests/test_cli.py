@@ -438,6 +438,30 @@ def test_constructive_stdout_pinned_across_commits(tmp_path, capsys):
     assert got == PINNED_CONSTRUCTIVE_SHA256
 
 
+# SHA-256 of the stdout and the --trace file of find unique-free on the
+# K_360 instance of gen random --n 360 --r 90 --seed 1, taken while the
+# claw scans still scanned the pool once per unused color: the same
+# claws, merges and ledger events in the same order.
+PINNED_UNIQUE_FREE_360_SHA256 = {
+    "stdout": "b3284175ee513dd77cb82349afe62cd0915e163a294449f8d57bb207d3e43a9a",
+    "trace": "1fd514a5318246a2c51fa6fd6769632d101e75b0d9c05a2b31a2414d52415dd1",
+}
+
+
+def test_unique_free_360_stdout_and_trace_pinned(tmp_path, capsys):
+    _, text, _ = run_cli(capsys, "gen", "random", "--n", "360", "--r", "90",
+                         "--seed", "1")
+    instance, trace = tmp_path / "gen360.json", tmp_path / "trace.json"
+    instance.write_text(text)
+    code, out, _ = run_cli(capsys, "find", "unique-free", "--input",
+                           str(instance), "--trace", str(trace))
+    assert code == 0
+    assert {
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+    } == PINNED_UNIQUE_FREE_360_SHA256
+
+
 # SHA-256 of the two n=400 emitters' stdout, taken while they still built
 # an Edge-keyed dict and printed json.dumps of instance_to_obj.
 PINNED_EMITTER_SHA256 = {

@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddramsey.colored_graph import EdgeColoring, SimpleGraph, edge
-from oddramsey.constructions import random_coloring
+from oddramsey.constructions import (
+    random_coloring,
+    random_edge_coloring,
+    random_min_degree_graph,
+)
 from oddramsey.errors import InternalContradiction, PreconditionFailed
 from oddramsey.unique_finder import (
     Claw,
     ColorLedger,
     PreservedCollection,
     _arc_through_edge,
+    _dangerous_witness,
     _endpoint_index,
+    _exchange_pass,
+    _greedy_claws,
     _iter_attachments,
     _merge_at,
     find_unique_free_hamilton,
@@ -106,6 +113,149 @@ def test_resolve_dangerous_double_witness_restarts():
     assert {1, 2} <= centers
     res = find_unique_free_hamilton(chi)
     assert not res.census.unique_colors
+
+
+def _reference_dangerous_witness(chi, v, remaining, unused):
+    """The witness scan as it was before the bucket pass: one scan of the
+    pool per unused color, in increasing color order."""
+    pool = sorted(remaining - {v})
+    for c in sorted(unused):
+        leaves = [z for z in pool if chi.color(v, z) == c]
+        if len(leaves) >= 3:
+            return Claw(v, tuple(leaves[:3]), c)
+    return None
+
+
+def _reference_greedy_claws(chi, seed, ledger):
+    """The greedy extension as it was before the bucket pass: one scan of
+    ``range(n)`` per unused color at every center."""
+    n = chi.host.n
+    used = set()
+    for claw in seed:
+        used |= claw.vertices()
+    claws = list(seed)
+    for x0 in range(n):
+        if x0 in used:
+            continue
+        for c in sorted(ledger.unused):
+            leaves = [
+                v
+                for v in range(n)
+                if v != x0 and v not in used and chi.color(x0, v) == c
+            ][:3]
+            if len(leaves) == 3:
+                claw = Claw(x0, tuple(leaves), c)
+                claws.append(claw)
+                used |= claw.vertices()
+                ledger.free_color(c, "claw", center=x0, leaves=leaves)
+                break
+    coll = PreservedCollection(n=n, claws=claws, remaining=set(range(n)) - used)
+    for v in sorted(coll.remaining):
+        if _reference_dangerous_witness(chi, v, coll.remaining, ledger.unused):
+            raise InternalContradiction(
+                f"greedy certificate failed: vertex {v} is dangerous inside R"
+            )
+    return coll
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InternalContradiction, PreconditionFailed) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_witness_matches_reference(chi, v, remaining, unused):
+    want = _outcome(_reference_dangerous_witness, chi, v, remaining, unused)
+    assert _outcome(_dangerous_witness, chi, v, remaining, unused) == want
+    return want
+
+
+def _assert_greedy_matches_reference(chi, seed, ledger):
+    ref_ledger = copy.deepcopy(ledger)
+    want = _outcome(_reference_greedy_claws, chi, seed, ref_ledger)
+    got = _outcome(_greedy_claws, chi, seed, ledger)
+    if isinstance(want, PreservedCollection):
+        assert (got.claws, got.remaining) == (want.claws, want.remaining)
+    else:
+        assert got == want
+    assert ledger.history == ref_ledger.history
+    assert (ledger.unused, ledger.free) == (ref_ledger.unused, ref_ledger.free)
+    return got
+
+
+def test_claw_scans_match_reference_on_random_colorings():
+    rng = random.Random(17)
+    hosts = [random_coloring(n, r, seed) for seed, (n, r) in enumerate(
+        [(8, 1), (9, 2), (12, 3), (16, 2), (20, 5), (25, 3), (33, 8), (40, 10)]
+    )]
+    # incomplete hosts: the scans must reject a non-edge as chi.color does
+    hosts += [
+        random_edge_coloring(random_min_degree_graph(n, n - 3, n), 3, n)
+        for n in (9, 14)
+    ]
+    for chi in hosts:
+        n, r = chi.host.n, chi.r
+        for _ in range(30):
+            remaining = {z for z in range(n) if rng.random() < 0.7}
+            unused = {c for c in range(1, r + 1) if rng.random() < 0.6}
+            _assert_witness_matches_reference(
+                chi, rng.randrange(n), remaining, unused
+            )
+        _assert_greedy_matches_reference(chi, [], ColorLedger.fresh(r))
+
+
+def test_claw_scans_match_reference_on_the_restart_seed():
+    # the state of test_resolve_dangerous_double_witness_restarts at the
+    # moment the enlarged seed is handed back to the greedy extension
+    overrides = {(0, v): 1 for v in (1, 2, 3)}
+    overrides.update({(1, v): 2 for v in (8, 9, 10)})
+    overrides.update({(2, v): 3 for v in (11, 12, 13)})
+    chi = coloring_with(16, 4, overrides, base=4)
+    ledger = ColorLedger.fresh(4)
+    coll = max_claw_collection(chi, ledger)
+    seed = _exchange_pass(chi, coll, ledger)
+    assert seed is not None
+    ledger.reset_epoch({cl.color for cl in seed}, "test restart")
+    for v in range(16):
+        _assert_witness_matches_reference(chi, v, coll.remaining, ledger.unused)
+    coll = _assert_greedy_matches_reference(chi, seed, ledger)
+    assert {cl.center for cl in coll.claws} >= {1, 2}
+
+
+def test_claw_scans_on_planted_buckets():
+    # Center 4: color 1 is free, color 3 fills its bucket first (5, 6, 7),
+    # and color 2, the smallest unused one with three leaves, has four free
+    # leaves 8..11 once the used vertices 0..3 are excluded.
+    overrides = {(0, v): 1 for v in (1, 2, 3)}
+    overrides.update({(4, v): 1 for v in (12, 13, 14)})
+    overrides.update({(4, v): 3 for v in (5, 6, 7)})
+    overrides.update({(4, v): 2 for v in (1, 2, 8, 9, 10, 11)})
+    chi = coloring_with(16, 5, overrides, base=5)
+    seed = [Claw(0, (1, 2, 3), 1)]
+    ledger = ColorLedger.fresh(5)
+    ledger.reset_epoch({1}, "test seed")
+    coll = _assert_greedy_matches_reference(chi, seed, ledger)
+    assert coll.claws[1] == Claw(4, (8, 9, 10), 2)
+    remaining = set(range(4, 16))
+    want = Claw(4, (8, 9, 10), 2)
+    assert _assert_witness_matches_reference(chi, 4, remaining, {2, 3, 4}) == want
+    # exactly three color-2 leaves left in the pool
+    assert _assert_witness_matches_reference(
+        chi, 4, remaining - {9}, {2, 3}
+    ) == Claw(4, (8, 10, 11), 2)
+    # one short: the larger color 3 answers
+    assert _assert_witness_matches_reference(
+        chi, 4, remaining - {9, 10}, {2, 3}
+    ) == Claw(4, (5, 6, 7), 3)
+    # exactly three free color-2 leaves once used is excluded: the claw
+    # takes all of them
+    overrides[(4, 11)] = 5
+    chi = coloring_with(16, 5, overrides, base=5)
+    ledger = ColorLedger.fresh(5)
+    ledger.reset_epoch({1}, "test seed")
+    coll = _assert_greedy_matches_reference(chi, seed, ledger)
+    assert coll.claws[1] == Claw(4, (8, 9, 10), 2)
 
 
 def test_harvest_prefers_cherry_and_falls_back_to_matching():
@@ -336,6 +486,20 @@ def test_merge_with_a_virtual_twin_endpoint():
     coll.gadget_colors[16] = 1
     history = _assert_merge_matches_reference(chi, coll, ledger)
     assert _merge_events(history) == [[0, 2], [[5, 10], [9, 16]]]
+
+
+def test_merge_pass_stops_the_row_of_an_endpoint_turned_interior():
+    # Row 0 merges (0,2) and 0 turns interior, so (0,4) is never tried;
+    # 2 turned interior too, so its row stops before (2,4).  Row 3 still
+    # merges (3,6).
+    paths = [[0, 1], [2, 3], [4, 5], [6, 7]]
+    chi = _distinct_cross_coloring(
+        16, paths, {(0, 2): 1, (0, 4): 1, (2, 4): 1, (3, 6): 1}
+    )
+    coll, ledger = _hand_state(16, chi.r, paths, range(8, 16), set(range(2, chi.r + 1)))
+    history = _assert_merge_matches_reference(chi, coll, ledger)
+    assert _merge_events(history) == [[0, 2], [3, 6]]
+    assert coll.paths == [[1, 0, 2, 3, 6, 7], [4, 5]]
 
 
 def test_merge_endpoints_matches_reference_on_pipeline_states():
