@@ -258,67 +258,57 @@ def strong_ore_path(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
         raise PreconditionFailed("need n >= 3 and distinct endpoints")
     if min_degree(g) < n // 2:
         raise PreconditionFailed("minimum degree below floor(n/2)")
-    if n % 2 == 0:
-        high = [v for v in range(n) if g.degree(v) >= n // 2 + 1]
-        if len(high) > n // 2:
-            try:
-                return hamilton_path_between(g, x, y)
-            except NotFoundError as exc:
-                raise InternalContradiction(
-                    "high-degree majority case must admit a Hamilton path"
-                ) from exc
-        if len(high) == n // 2:
-            v1 = [v for v in range(n) if g.degree(v) == n // 2]
-            independent = not any(
-                g.adjacent(a, b) for i, a in enumerate(v1) for b in v1[i + 1 :]
-            )
-            if not (independent and x in v1 and y in v1):
-                # An edge inside the low class forces the closure to
-                # complete; for mixed pairs the closure is attempted and
-                # its failure is reported, not papered over.
-                found = _path_via_closure(g, x, y)
-                if found is not None:
-                    return found
-                if not independent:
-                    raise InternalContradiction(
-                        "closure must complete when the degree-n/2 class "
-                        "spans an edge"
-                    )
-                raise PreconditionFailed(
-                    "balanced case without a closure path only serves pairs "
-                    "inside the degree-n/2 class"
-                )
-            u1, u2 = next(
-                (a, b)
-                for a in high
-                for b in high
-                if a < b and g.adjacent(a, b)
-            )
-            rest_high = [v for v in high if v not in (u1, u2)]
-            mids = [v for v in v1 if v not in (x, y)]
-            seq = [x, u1, u2]
-            for mv, uv in zip(mids, rest_high):
-                seq.extend((mv, uv))
-            seq.append(y)
-            out = CycleOrPath(tuple(seq))
-            out.validate(g)
-            if not out.is_hamilton(n):
-                raise InternalContradiction("interleaved path misses vertices")
-            return out
-        raise PreconditionFailed(
-            "even case needs at least n/2 vertices of degree >= n/2+1"
-        )
-    high = [v for v in range(n) if g.degree(v) >= (n + 1) // 2]
-    if 2 * len(high) > n + 3:
+    # n//2 + 1 is n/2+1 for even n and (n+1)/2 for odd n; the majority
+    # bound is n/2 for even n and (n+3)/2 for odd n.
+    high = [v for v in range(n) if g.degree(v) >= n // 2 + 1]
+    if 2 * len(high) > n + 3 * (n % 2):
         try:
             return hamilton_path_between(g, x, y)
         except NotFoundError as exc:
             raise InternalContradiction(
-                "odd-order majority case must admit a Hamilton path"
+                "high-degree majority case must admit a Hamilton path"
             ) from exc
-    raise PreconditionFailed(
-        "odd case needs more than (n+3)/2 vertices of degree >= (n+1)/2"
+    if n % 2 == 1:
+        raise PreconditionFailed(
+            "odd case needs more than (n+3)/2 vertices of degree >= (n+1)/2"
+        )
+    if len(high) < n // 2:
+        raise PreconditionFailed(
+            "even case needs at least n/2 vertices of degree >= n/2+1"
+        )
+    v1 = [v for v in range(n) if g.degree(v) == n // 2]
+    independent = not any(
+        g.adjacent(a, b) for i, a in enumerate(v1) for b in v1[i + 1 :]
     )
+    if not (independent and x in v1 and y in v1):
+        # An edge inside the low class forces the closure to complete;
+        # for mixed pairs the closure is attempted and its failure is
+        # reported, not papered over.
+        found = _path_via_closure(g, x, y)
+        if found is not None:
+            return found
+        if not independent:
+            raise InternalContradiction(
+                "closure must complete when the degree-n/2 class spans an edge"
+            )
+        raise PreconditionFailed(
+            "balanced case without a closure path only serves pairs "
+            "inside the degree-n/2 class"
+        )
+    u1, u2 = next(
+        (a, b) for a in high for b in high if a < b and g.adjacent(a, b)
+    )
+    rest_high = [v for v in high if v not in (u1, u2)]
+    mids = [v for v in v1 if v not in (x, y)]
+    seq = [x, u1, u2]
+    for mv, uv in zip(mids, rest_high):
+        seq.extend((mv, uv))
+    seq.append(y)
+    out = CycleOrPath(tuple(seq))
+    out.validate(g)
+    if not out.is_hamilton(n):
+        raise InternalContradiction("interleaved path misses vertices")
+    return out
 
 
 def dirac_hamilton_cycle(g: SimpleGraph) -> CycleOrPath:

@@ -14,7 +14,9 @@ inequivalent orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Sequence
 
 from .colored_graph import (
     CycleOrPath,
@@ -35,6 +37,7 @@ from .errors import (
 from .hamilton import (
     assert_valid_cycle,
     dirac_hamilton_cycle,
+    hamilton_path_between,
     hamilton_path_in_subgraph,
     short_connector,
     short_connectors,
@@ -66,14 +69,9 @@ class SwitchOutcome:
 
 @dataclass(frozen=True)
 class AgreementPartition:
-    """Vertex partition into at most two blocks of pairwise agreeing vertices.
-
-    ``witness_table`` records, per analyzed pair, the verdict and the first
-    common neighbor that certified it.
-    """
+    """Vertex partition into at most two blocks of pairwise agreeing vertices."""
 
     classes: tuple[frozenset[int], ...]
-    witness_table: dict[tuple[int, int], tuple[str, int]]
 
 
 def _check_setting(g: SimpleGraph, chi: EdgeColoring, n_min: int = 4) -> None:
@@ -99,33 +97,44 @@ def _checked_odd_witness(
 
 
 def _pick_even(
+    g: SimpleGraph,
     chi: EdgeColoring,
-    cand1: CycleOrPath,
-    cand2: CycleOrPath,
+    segs1: tuple[Sequence[int], ...],
+    segs2: tuple[Sequence[int], ...],
     witness: CycleOrPath,
     provenance: str,
+    exact: bool = True,
 ) -> SwitchOutcome:
+    """Join each segment list into a Hamilton cycle and return the even one.
+
+    Exactly one candidate must be even-chromatic.  Their symmetric
+    difference must be the witness's edge set, or, for the reroutes of
+    case 1.2 (``exact=False``), carry the witness's odd colors.
+    """
+    cand1, cand2 = (
+        CycleOrPath(tuple(chain.from_iterable(segs)), closed=True)
+        for segs in (segs1, segs2)
+    )
+    assert_valid_cycle(g, cand1)
+    assert_valid_cycle(g, cand2)
     even1 = cycle_census(chi, cand1).is_even_chromatic()
-    even2 = cycle_census(chi, cand2).is_even_chromatic()
-    if even1 == even2:
+    if even1 == cycle_census(chi, cand2).is_even_chromatic():
         raise InternalContradiction(
             "candidate cycles do not differ by an odd parity vector"
         )
+    diff = symmetric_difference(cand1, cand2)
+    if exact and diff != set(witness.edges()):
+        raise InternalContradiction("candidates do not differ by the witness")
+    if not exact and (
+        parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors
+    ):
+        raise InternalContradiction("reroute difference lost the witness parity")
     return SwitchOutcome(
         cycle=cand1 if even1 else cand2,
         provenance=provenance,
         candidates=(cand1, cand2),
         witness=witness,
     )
-
-
-def _compose_cycle(g: SimpleGraph, *segments: tuple[int, ...]) -> CycleOrPath:
-    vs: list[int] = []
-    for seg in segments:
-        vs.extend(seg)
-    out = CycleOrPath(tuple(vs), closed=True)
-    assert_valid_cycle(g, out)
-    return out
 
 
 def _orient(p: CycleOrPath, start: int) -> CycleOrPath:
@@ -154,28 +163,25 @@ def switch_c4(
     q = short_connector(g, v, x, {u, w})
     keep = [z for z in range(g.n) if z not in q.vertices]
     p = _orient(hamilton_path_in_subgraph(g, keep, u, w), u)
-    cand1 = _compose_cycle(g, (u,), q.vertices, _rev(p)[:-1])
-    cand2 = _compose_cycle(g, (u,), _rev(q), _rev(p)[:-1])
-    out = _pick_even(chi, cand1, cand2, c4, "c4-switch")
-    if symmetric_difference(cand1, cand2) != set(c4.edges()):
-        raise InternalContradiction("candidates do not differ by the witness")
-    return out
+    return _pick_even(
+        g, chi, ((u,), q.vertices, _rev(p)[:-1]), ((u,), _rev(q), _rev(p)[:-1]),
+        c4, "c4-switch",
+    )
 
 
 def _delegate_if_odd(
-    g: SimpleGraph, chi: EdgeColoring, quad: tuple[int, int, int, int]
+    g: SimpleGraph, chi: EdgeColoring, *quads: tuple[int, int, int, int]
 ) -> SwitchOutcome | None:
-    """Run the 4-cycle switch when ``quad`` is an odd-chromatic C4."""
-    if len(set(quad)) < 4:
-        return None  # degenerate comparison, parity trivially equal
-    cyc = CycleOrPath(quad, closed=True)
-    cyc.validate(g)
-    if cycle_census(chi, cyc).is_odd_chromatic():
-        inner = switch_c4(g, chi, cyc)
-        return SwitchOutcome(
-            inner.cycle, inner.provenance + " (delegated)", inner.candidates,
-            inner.witness,
-        )
+    """Run the 4-cycle switch on the first of ``quads`` that is an
+    odd-chromatic C4."""
+    for quad in quads:
+        if len(set(quad)) < 4:
+            continue  # degenerate comparison, parity trivially equal
+        cyc = CycleOrPath(quad, closed=True)
+        cyc.validate(g)
+        if cycle_census(chi, cyc).is_odd_chromatic():
+            inner = switch_c4(g, chi, cyc)
+            return replace(inner, provenance=inner.provenance + " (delegated)")
     return None
 
 
@@ -192,13 +198,11 @@ def _generic_candidates(
 
     Their symmetric difference is exactly the hexagon's edge set.
     """
-    cand1 = _compose_cycle(g, p.vertices, q2.vertices, _rev(q1))
-    cand2 = _compose_cycle(g, p.vertices, _rev(q2), q1.vertices)
-    witness = CycleOrPath(hexa, closed=True)
-    out = _pick_even(chi, cand1, cand2, witness, provenance)
-    if symmetric_difference(cand1, cand2) != set(witness.edges()):
-        raise InternalContradiction("candidates do not differ by the hexagon")
-    return out
+    return _pick_even(
+        g, chi, (p.vertices, q2.vertices, _rev(q1)),
+        (p.vertices, _rev(q2), q1.vertices), CycleOrPath(hexa, closed=True),
+        provenance,
+    )
 
 
 def switch_c6(
@@ -222,11 +226,8 @@ def switch_c6(
     _check_setting(g, chi, n_min=6)
     _checked_odd_witness(g, chi, c6, 6)
     vs = c6.vertices
-    labelings = []
-    for rot in range(6):
-        seq = vs[rot:] + vs[:rot]
-        labelings.append(seq)
-        labelings.append((seq[0],) + tuple(reversed(seq[1:])))
+    rotations = [vs[i:] + vs[:i] for i in range(6)]
+    labelings = [h for seq in rotations for h in (seq, seq[:1] + seq[:0:-1])]
     last: _CaseExhausted | None = None
     for hexa in labelings:
         a, b, c, d, e, f = hexa
@@ -271,23 +272,25 @@ def _c6_dispatch(
 
 def _residual(
     g: SimpleGraph, q1: CycleOrPath, q2: CycleOrPath
-) -> tuple[list[int], dict[int, int]]:
-    """Vertices kept after removing the hexagon's middle and connector
-    interiors, together with their degrees in the induced subgraph."""
+) -> tuple[SimpleGraph, list[int], dict[int, int]]:
+    """The subgraph induced after removing the hexagon's middle and
+    connector interiors, its vertices' ids in g (ascending), and their
+    degrees in it."""
     removed = set(q1.vertices) | set(q2.vertices)
-    keep = [z for z in range(g.n) if z not in removed]
-    sub, old = g.induced(keep)
-    degs = {old[i]: sub.degree(i) for i in range(sub.n)}
-    return keep, degs
+    sub, keep = g.induced(z for z in range(g.n) if z not in removed)
+    degs = {keep[i]: sub.degree(i) for i in range(sub.n)}
+    return sub, keep, degs
 
 
 def _try_ad_path(
-    g: SimpleGraph, keep: list[int], a: int, d: int
+    sub: SimpleGraph, keep: list[int], a: int, d: int
 ) -> CycleOrPath | None:
+    """Hamilton {a,d}-path of the residual subgraph, in g's vertex ids."""
     try:
-        return _orient(hamilton_path_in_subgraph(g, keep, a, d), a)
+        found = hamilton_path_between(sub, keep.index(a), keep.index(d))
     except NotFoundError:
         return None
+    return _orient(CycleOrPath(tuple(keep[i] for i in found.vertices)), a)
 
 
 def _case1(
@@ -298,22 +301,22 @@ def _case1(
     q2: CycleOrPath,
 ) -> SwitchOutcome:
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, q1, q2)
+    sub, keep, degs = _residual(g, q1, q2)
     np = len(keep)
     if any(2 * k < np for k in degs.values()):
         raise InternalContradiction("residual graph lost the half-degree bound")
     high = sum(1 for k in degs.values() if 2 * k >= np + 2)
     low = sum(1 for k in degs.values() if 2 * k == np)
     if 2 * high > np:
-        p = _try_ad_path(g, keep, a, d)
+        p = _try_ad_path(sub, keep, a, d)
         if p is None:
             raise InternalContradiction(
                 "high-degree majority residual graph must admit the path"
             )
         return _generic_candidates(g, chi, hexa, q1, q2, p, "c6-switch case-1.1")
     if 2 * low > np:
-        return _case12(g, chi, hexa, q1, q2, keep, degs)
-    return _case13(g, chi, hexa, q1, q2, keep, degs)
+        return _case12(g, chi, hexa, q1, q2, sub, keep, degs)
+    return _case13(g, chi, hexa, q1, q2, sub, keep, degs)
 
 
 def _case12(
@@ -322,6 +325,7 @@ def _case12(
     hexa: tuple[int, ...],
     q1: CycleOrPath,
     q2: CycleOrPath,
+    sub: SimpleGraph,
     keep: list[int],
     degs: dict[int, int],
 ) -> SwitchOutcome:
@@ -329,22 +333,20 @@ def _case12(
     both of whose endpoints see the whole removed quadruple."""
     a, b, c, d, e, f = hexa
     np = len(keep)
-    sub, old = g.induced(keep)
-    pos = {o: i for i, o in enumerate(old)}
     try:
         found = dirac_hamilton_cycle(
-            sub.without_edge(graph_edge(pos[a], pos[d]))
+            sub.without_edge(graph_edge(keep.index(a), keep.index(d)))
         )
     except (NotFoundError, PreconditionFailed):
         # Tiny residual graphs can make the avoiding cycle impossible;
         # a direct Hamilton {a,d}-path still yields the generic candidates.
-        p = _try_ad_path(g, keep, a, d)
+        p = _try_ad_path(sub, keep, a, d)
         if p is None:
             raise _CaseExhausted("no reroute edge and no fallback path")
         return _generic_candidates(
             g, chi, hexa, q1, q2, p, "c6-switch case-1.2-path-fallback"
         )
-    cyc = [old[i] for i in found.vertices]
+    cyc = [keep[i] for i in found.vertices]
     for u, v in zip(cyc, cyc[1:] + cyc[:1]):
         if 2 * degs[u] == np and 2 * degs[v] == np:
             break
@@ -384,24 +386,15 @@ def _case121(
         p1, p2 = arc2[::-1], arc1[::-1]
         u, v = v, u
     iu = p1.index(u)
-    for quad in ((u, b, a, f), (v, c, d, e)):
-        delegated = _delegate_if_odd(g, chi, quad)
-        if delegated is not None:
-            return delegated
-    p1a, p1b = p1[: iu + 1], p1[iu + 1 :]
-    p2int = p2[1:-1]
-    cand1 = _compose_cycle(
-        g, tuple(p1a), _rev(q1), q2.vertices, tuple(p1b), tuple(p2int)
+    delegated = _delegate_if_odd(g, chi, (u, b, a, f), (v, c, d, e))
+    if delegated is not None:
+        return delegated
+    p1a, p1b, p2int = p1[: iu + 1], p1[iu + 1 :], p2[1:-1]
+    return _pick_even(
+        g, chi, (p1a, _rev(q1), q2.vertices, p1b, p2int),
+        (p1a, q1.vertices, _rev(q2), p1b, p2int), CycleOrPath(hexa, closed=True),
+        "c6-switch case-1.2.1", exact=False,
     )
-    cand2 = _compose_cycle(
-        g, tuple(p1a), q1.vertices, _rev(q2), tuple(p1b), tuple(p2int)
-    )
-    witness = CycleOrPath(hexa, closed=True)
-    out = _pick_even(chi, cand1, cand2, witness, "c6-switch case-1.2.1")
-    diff = symmetric_difference(cand1, cand2)
-    if parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors:
-        raise InternalContradiction("reroute difference lost the witness parity")
-    return out
 
 
 def _case122(
@@ -423,47 +416,34 @@ def _case122(
         p1, p2 = arc2[::-1], arc1[::-1]
     else:
         raise InternalContradiction("switch edge not incident to the cut vertex")
-    p1p = p1[1:]
-    p2int = p2[1:-1]
-    cand1 = _compose_cycle(
-        g, tuple(p1p), tuple(p2int), (a,), q1.vertices, _rev(q2)
+    p1p, p2int = p1[1:], p2[1:-1]
+    return _pick_even(
+        g, chi, (p1p, p2int, (a,), q1.vertices, _rev(q2)),
+        (p1p, p2int, (a,), _rev(q1), q2.vertices), CycleOrPath(hexa, closed=True),
+        "c6-switch case-1.2.2", exact=False,
     )
-    cand2 = _compose_cycle(
-        g, tuple(p1p), tuple(p2int), (a,), _rev(q1), q2.vertices
-    )
-    witness = CycleOrPath(hexa, closed=True)
-    out = _pick_even(chi, cand1, cand2, witness, "c6-switch case-1.2.2")
-    diff = symmetric_difference(cand1, cand2)
-    if parity_census(chi, diff).odd_colors != cycle_census(chi, witness).odd_colors:
-        raise InternalContradiction("reroute difference lost the witness parity")
-    return out
 
 
 def _case13(
-    g, chi, hexa, q1, q2, keep: list[int], degs: dict[int, int]
+    g, chi, hexa, q1, q2, sub: SimpleGraph, keep: list[int], degs: dict[int, int]
 ) -> SwitchOutcome:
     """Balanced degree profile: either the direct path exists, or the path
     machinery joins two degree-np/2 vertices and the hexagon is relabeled
     around them."""
     a, b, c, d, e, f = hexa
     np = len(keep)
-    p = _try_ad_path(g, keep, a, d)
+    p = _try_ad_path(sub, keep, a, d)
     if p is not None:
         return _generic_candidates(g, chi, hexa, q1, q2, p, "c6-switch case-1.3")
     lows = sorted(z for z in keep if 2 * degs[z] == np)
     if len(lows) < 2:
         raise _CaseExhausted("balanced case lost its low-degree class")
     u, v = lows[0], lows[1]
-    for quad in ((u, b, a, f), (v, c, d, e)):
-        delegated = _delegate_if_odd(g, chi, quad)
-        if delegated is not None:
-            return delegated
-    sub, old = g.induced(keep)
-    pos = {o: i for i, o in enumerate(old)}
-    inner = strong_ore_path(sub, pos[u], pos[v])
-    path = _orient(
-        CycleOrPath(tuple(old[i] for i in inner.vertices)), u
-    )
+    delegated = _delegate_if_odd(g, chi, (u, b, a, f), (v, c, d, e))
+    if delegated is not None:
+        return delegated
+    inner = strong_ore_path(sub, keep.index(u), keep.index(v))
+    path = _orient(CycleOrPath(tuple(keep[i] for i in inner.vertices)), u)
     new_hexa = (u, b, c, v, e, f)
     return _generic_candidates(
         g, chi, new_hexa, q1, q2, path, "c6-switch case-1.3"
@@ -473,11 +453,11 @@ def _case13(
 def _case2(g, chi, hexa, q1, q2) -> SwitchOutcome:
     """One edge connector, one cherry connector."""
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, q1, q2)
+    sub, keep, degs = _residual(g, q1, q2)
     np = len(keep)
     if any(2 * k < np - 1 for k in degs.values()):
         raise InternalContradiction("residual graph lost the degree bound")
-    p = _try_ad_path(g, keep, a, d)
+    p = _try_ad_path(sub, keep, a, d)
     if p is not None:
         return _generic_candidates(g, chi, hexa, q1, q2, p, "c6-switch case-2")
     lows = sorted(z for z in keep if 2 * degs[z] == np - 1)
@@ -489,18 +469,14 @@ def _case2(g, chi, hexa, q1, q2) -> SwitchOutcome:
             "cherry case with at most one low vertex and no path"
         )
     w, z = lows[0], lows[1]
-    for quad in ((w, b, a, f), (z, c, d, e)):
-        delegated = _delegate_if_odd(g, chi, quad)
-        if delegated is not None:
-            return delegated
+    delegated = _delegate_if_odd(g, chi, (w, b, a, f), (z, c, d, e))
+    if delegated is not None:
+        return delegated
     new_hexa = (f, w, b, c, z, e)
     new_q1 = CycleOrPath((w, e))
     new_q2 = CycleOrPath((b, z))
     out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
-    return SwitchOutcome(
-        out.cycle, "c6-switch case-2 -> " + out.provenance,
-        out.candidates, out.witness,
-    )
+    return replace(out, provenance="c6-switch case-2 -> " + out.provenance)
 
 
 _CASE3_LABELINGS = (
@@ -514,9 +490,9 @@ _CASE3_LABELINGS = (
 def _case3(g, chi, hexa, q1, q2) -> SwitchOutcome:
     """Two cherry connectors."""
     a, b, c, d, e, f = hexa
-    keep, degs = _residual(g, q1, q2)
+    sub, keep, degs = _residual(g, q1, q2)
     np = len(keep)
-    p = _try_ad_path(g, keep, a, d)
+    p = _try_ad_path(sub, keep, a, d)
     if p is not None:
         return _generic_candidates(g, chi, hexa, q1, q2, p, "c6-switch case-3")
     lows = [z for z in keep if 2 * degs[z] <= np]
@@ -544,10 +520,7 @@ def _case3(g, chi, hexa, q1, q2) -> SwitchOutcome:
     new_q1 = CycleOrPath((w, e2))
     new_q2 = short_connector(g, b2, d2, {f2, c2, w, e2})
     out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
-    return SwitchOutcome(
-        out.cycle, "c6-switch case-3 -> " + out.provenance,
-        out.candidates, out.witness,
-    )
+    return replace(out, provenance="c6-switch case-3 -> " + out.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +549,27 @@ def agreement_partition(
     Each witness is the lowest set bit of its mask, so the first mixed pair
     in lexicographic order gives ``x, a, y, d`` with ``a`` its least
     agreeing and ``d`` its least disagreeing common neighbor.
+
+    Bit y > x of ``agree[x]`` is set iff x and y agree.  Block A is 0 and
+    every vertex that agrees with it; the pairs (x, y > x) that break
+    transitivity are the bits of ``agree[x]`` XOR x's block above x, and
+    the lowest bit of the first nonzero row is the first such pair in
+    lexicographic order.
+
+    The 6-cycle route is needed at the degree bound: C5[K_6] (five
+    6-cliques on a 5-cycle, n = 30, minimum degree 17 = n/2 + 2) with
+    color 2 on exactly the edges between blocks 0 and 1 has an odd hexagon
+    (once around with one step inside a block) but no odd 4-cycle, since a
+    closed walk of length 4 cannot wind around C5 and so crosses that block
+    pair an even number of times.
     """
     _check_setting(g, chi)
     n = g.n
     rows = [g.mask(v) for v in range(n)]
     c1 = chi.color_rows(1)
-    verdicts: dict[tuple[int, int], bool] = {}
-    table: dict[tuple[int, int], tuple[str, int]] = {}
+    agree = [0] * n
     for x in range(n):
-        row_x, c1_x = rows[x], c1[x]
+        row_x, c1_x, agree_x = rows[x], c1[x], 0
         for y in range(x + 1, n):
             common = row_x & rows[y]
             dis = common & (c1_x ^ c1[y])
@@ -599,30 +584,27 @@ def agreement_partition(
                 raise InternalContradiction(
                     "degree bound guarantees common neighbors"
                 )
-            verdicts[(x, y)] = bool(agr)
             if agr:
-                table[(x, y)] = ("agree", _lowest(agr))
-            else:
-                table[(x, y)] = ("disagree", _lowest(dis))
+                agree_x |= 1 << y
+        agree[x] = agree_x
 
-    block_a = frozenset(
-        {0} | {v for v in range(1, n) if verdicts[(0, v)]}
-    )
-    block_b = frozenset(range(n)) - block_a
-
+    full = (1 << n) - 1
+    block_a = agree[0] | 1
     for x in range(1, n):
-        for y in range(x + 1, n):
-            same = (x in block_a) == (y in block_a)
-            if same == verdicts[(x, y)]:
-                continue
-            if same:
-                trip = (x, 0, y) if x in block_a else (0, x, y)
+        in_a = block_a >> x & 1
+        own = block_a if in_a else full ^ block_a
+        bad = agree[x] ^ (own & (full << (x + 1)))
+        if bad:
+            y = _lowest(bad)
+            if own >> y & 1:
+                trip = (x, 0, y) if in_a else (0, x, y)
             else:
-                trip = (0, x, y) if x in block_a else (0, y, x)
+                trip = (0, x, y) if in_a else (0, y, x)
             return _hexagon_witness(g, chi, trip)
 
-    classes = (block_a, block_b) if block_b else (block_a,)
-    return AgreementPartition(classes, table)
+    a = frozenset(v for v in range(n) if block_a >> v & 1)
+    b = frozenset(range(n)) - a
+    return AgreementPartition((a, b) if b else (a,))
 
 
 def _hexagon_witness(

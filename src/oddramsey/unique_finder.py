@@ -529,24 +529,19 @@ def merge_cherries(
     col = coll.color_fn(chi)
     start_paths = len(coll.paths)
     while len(coll.paths) > 2:
-        found = None
-        for i, j in combinations(range(len(coll.paths)), 2):
-            for w1 in (coll.paths[i][0], coll.paths[i][-1]):
-                for w2 in (coll.paths[j][0], coll.paths[j][-1]):
-                    for v in sorted(coll.remaining - coll.cherry_centers):
-                        if (
-                            col(w1, v) in ledger.free
-                            and col(w2, v) in ledger.free
-                        ):
-                            found = (w1, w2, v)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        centers = sorted(coll.remaining - coll.cherry_centers)
+        found = next(
+            (
+                (w1, w2, v)
+                for i, j in combinations(range(len(coll.paths)), 2)
+                for w1 in (coll.paths[i][0], coll.paths[i][-1])
+                for w2 in (coll.paths[j][0], coll.paths[j][-1])
+                for v in centers
+                if col(w1, v) in ledger.free and col(w2, v) in ledger.free
+            ),
+            None,
+        )
+        if found is None:
             raise InternalContradiction(
                 "no common free cherry center; the counting bound failed"
             )
@@ -766,7 +761,6 @@ def special_case_single_unused(
     (c,) = ledger.unused
     col = coll.color_fn(chi)
     pool = sorted(coll.remaining)
-    not_c = lambda color: color != c  # noqa: E731
 
     if len(coll.paths) == 1:
         return _close_one_path_one_unused(chi, coll, ledger, c)

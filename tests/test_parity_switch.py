@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,11 +9,13 @@ from oddramsey.colored_graph import (
     SimpleGraph,
     cycle_census,
     edge,
+    instance_to_json,
     min_degree,
     parity_census,
     symmetric_difference,
 )
 from oddramsey.constructions import random_edge_coloring, random_min_degree_graph
+from oddramsey.cli import main as cli_main
 from oddramsey.errors import BadWitness, PreconditionFailed
 from oddramsey.hamilton import assert_valid_cycle, enumerate_hamilton_cycles
 from oddramsey.parity_switch import (
@@ -324,7 +327,6 @@ def test_agreement_partition_monochromatic():
     res = agreement_partition(g, chi)
     assert isinstance(res, AgreementPartition)
     assert res.classes == (frozenset(range(8)),)
-    assert all(v == "agree" for v, _ in res.witness_table.values())
 
 
 def test_agreement_partition_reverified_exhaustively():
@@ -383,7 +385,7 @@ def _pair_scan_partition(g, chi):
     order, stopping at the first pair with both an agreeing and a
     disagreeing neighbor, then the block/transitivity pass."""
     n = g.n
-    verdicts, table = {}, {}
+    verdicts = {}
     for x in range(n):
         for y in range(x + 1, n):
             agree_w = disagree_w = None
@@ -398,8 +400,6 @@ def _pair_scan_partition(g, chi):
                 if agree_w is not None and disagree_w is not None:
                     return CycleOrPath((x, agree_w, y, disagree_w), closed=True)
             verdicts[(x, y)] = agree_w is not None
-            wit_u = agree_w if agree_w is not None else disagree_w
-            table[(x, y)] = ("agree" if agree_w is not None else "disagree", wit_u)
     block_a = frozenset({0} | {v for v in range(1, n) if verdicts[(0, v)]})
     block_b = frozenset(range(n)) - block_a
     for x in range(1, n):
@@ -413,14 +413,51 @@ def _pair_scan_partition(g, chi):
                 trip = (0, x, y) if x in block_a else (0, y, x)
             return _hexagon_witness(g, chi, trip)
     classes = (block_a, block_b) if block_b else (block_a,)
-    return AgreementPartition(classes, table)
+    return AgreementPartition(classes)
+
+
+def _c5_blowup(m, seed=None, flip=False):
+    """C5[K_m]: five m-cliques on a 5-cycle (n = 5m, minimum degree 3m - 1,
+    which is n/2 + 2 at m = 6), color 2 on exactly the edges between
+    blocks 0 and 1.  With a seed, the vertices are relabeled, the colors
+    switched at a random vertex set (u, v gets f(u) + f(v) + its color),
+    and with ``flip`` one edge's color is flipped."""
+    n = 5 * m
+    rng = random.Random(seed)
+    perm, signs = list(range(n)), [0] * n
+    if seed is not None:
+        rng.shuffle(perm)
+        signs = [rng.randrange(2) for _ in range(n)]
+    assign = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            bu, bv = u // m, v // m
+            if (bv - bu) % 5 in (0, 1, 4):
+                cross = {bu, bv} == {0, 1}
+                assign[edge(perm[u], perm[v])] = 1 + (signs[u] ^ signs[v] ^ cross)
+    if flip:
+        e = rng.choice(sorted(assign))
+        assign[e] = 3 - assign[e]
+    g = SimpleGraph(n, sorted(assign))
+    return g, EdgeColoring(g, 2, assign)
 
 
 def test_agreement_partition_matches_pair_scan():
     # Random colorings return a mixed-pair C4 early; planted 2-block
     # colorings run the full scan; a planted coloring with one flipped
-    # edge returns a C4 from a later pair.
-    partitions = 0
+    # edge returns a C4 from a later pair.  Switched and relabeled
+    # C5[K_6] and C5[K_8] colorings have no mixed pair but break
+    # transitivity, so the scan ends in the hexagon pass; a flipped edge
+    # there gives a C4 instead.
+    partitions = hexagons = 0
+    for seed in range(40):
+        g, chi = _c5_blowup(6 + 2 * (seed % 2), seed, flip=seed % 4 == 3)
+        got = agreement_partition(g, chi)
+        want = _pair_scan_partition(g, chi)
+        assert isinstance(got, CycleOrPath), seed
+        assert got.vertices == want.vertices, seed
+        hexagons += len(got.vertices) == 6
+    assert hexagons >= 25
     for seed in range(210):
         n = 12 + 2 * (seed % 15)
         g = random_min_degree_graph(n, n // 2 + 2, seed)
@@ -444,8 +481,35 @@ def test_agreement_partition_matches_pair_scan():
             partitions += 1
             assert isinstance(got, AgreementPartition), (n, seed, kind)
             assert got.classes == want.classes, (n, seed, kind)
-            assert got.witness_table == want.witness_table, (n, seed, kind)
     assert partitions >= 70
+
+
+# SHA-256 of the stdout of find even-hamilton on the C5[K_6] host of
+# _c5_blowup(6), taken before the agreement scan kept one mask per vertex
+# and before every candidate pair was built in one helper.
+C5K6_EVEN_HAMILTON_SHA256 = (
+    "732b683079e505eb5b6d008a331881c3bda36ef591906e48feb922f8ca63e585"
+)
+
+
+def test_c6_route_end_to_end_on_c5_blowup(tmp_path, capsys):
+    # No 4-cycle of C5[K_6] is odd, so the scan runs the transitivity pass
+    # and returns a hexagon, and the driver takes the C6 switch.
+    g, chi = _c5_blowup(6)
+    assert min_degree(g) == 17 == g.n // 2 + 2
+    wit = agreement_partition(g, chi)
+    assert isinstance(wit, CycleOrPath)
+    assert wit.vertices == (0, 24, 18, 12, 6, 1)
+    assert cycle_census(chi, wit).is_odd_chromatic()
+    out = find_even_hamilton_2col(g, chi)
+    assert out.provenance == "c6-switch case-2"
+    assert cycle_census(chi, out.cycle).counts == {1: 28, 2: 2}
+    check_outcome(g, chi, out)
+    path = tmp_path / "c5k6.json"
+    path.write_text(instance_to_json(chi))
+    assert cli_main(["find", "even-hamilton", "--input", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == C5K6_EVEN_HAMILTON_SHA256
 
 
 def test_hexagon_witness_is_odd():
