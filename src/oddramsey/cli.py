@@ -16,6 +16,7 @@ import time
 
 from .colored_graph import (
     EdgeColoring,
+    check_instance_size,
     cycle_census,
     instance_from_json,
     instance_to_obj,
@@ -60,7 +61,7 @@ def _read_instance(path: str) -> EdgeColoring:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return instance_from_json(text)
@@ -207,6 +208,7 @@ def dispatch(args) -> tuple[str, dict]:
         from . import constructions
 
         # Bare instance document: the output pipes into any --input slot.
+        check_instance_size(args.n)
         chi = constructions.unique_upper_coloring(args.n)
         return "ok", instance_to_obj(chi)
     if args.group == "oracle":
@@ -224,6 +226,7 @@ def dispatch(args) -> tuple[str, dict]:
     if args.group == "gen":
         from . import constructions
 
+        check_instance_size(args.n)
         chi = constructions.random_coloring(args.n, args.r, args.seed)
         return "ok", instance_to_obj(chi)
     if args.group == "verify":

@@ -75,7 +75,8 @@ class SimpleGraph:
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
-        full = (1 << n) - 1
+        # n < 1 leaves no rows, which _set_rows rejects
+        full = (1 << max(n, 0)) - 1
         return cls._from_rows([full ^ (1 << v) for v in range(n)])
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -364,6 +365,13 @@ def symmetric_difference(c1: CycleOrPath, c2: CycleOrPath) -> set[Edge]:
 MAX_INSTANCE_N = 2000
 
 
+def check_instance_size(n: int) -> None:
+    """Reject a vertex count outside 1..MAX_INSTANCE_N, whether read from
+    an instance document or asked of a generator."""
+    if not 1 <= n <= MAX_INSTANCE_N:
+        raise PreconditionFailed(f"instance size n = {n} outside 1..{MAX_INSTANCE_N}")
+
+
 def instance_to_obj(coloring: EdgeColoring) -> dict:
     return {
         "n": coloring.host.n,
@@ -383,10 +391,7 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
         raise PreconditionFailed(
             "malformed instance object: n and r must be integers, edges a list"
         )
-    if not 1 <= n <= MAX_INSTANCE_N:
-        raise PreconditionFailed(
-            f"instance size n = {n} outside 1..{MAX_INSTANCE_N}"
-        )
+    check_instance_size(n)
     table = [[0] * n for _ in range(n)]
     rows = [0] * n
     for item in raw:
@@ -424,6 +429,7 @@ def instance_to_json(coloring: EdgeColoring) -> str:
 def instance_from_json(text: str) -> EdgeColoring:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise PreconditionFailed(f"invalid JSON: {exc}") from exc
     return instance_from_obj(obj)

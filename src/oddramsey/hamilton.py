@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .colored_graph import CycleOrPath, Edge, SimpleGraph, min_degree
 from .errors import (
@@ -383,14 +383,17 @@ def enumerate_hamilton_cycles(
             yield CycleOrPath(p, closed=True)
 
 
-def hamilton_path_in_subgraph(
-    g: SimpleGraph, keep: list[int], x: int, y: int
+def search_in_ids(
+    search: Callable[[SimpleGraph, int, int], CycleOrPath],
+    g: SimpleGraph, ids: Sequence[int], x: int, y: int,
 ) -> CycleOrPath:
-    """Hamilton {x,y}-path of the induced subgraph, in original vertex ids."""
-    sub, old = g.induced(keep)
-    pos = {o: i for i, o in enumerate(old)}
-    found = hamilton_path_between(sub, pos[x], pos[y])
-    return CycleOrPath(tuple(old[i] for i in found.vertices))
+    """``search(g, x, y)`` with vertex k of g standing for ``ids[k]``: x and
+    y are passed as their positions in ``ids`` and the path or cycle found
+    comes back in ids.  ``search`` is a Hamilton {x,y}-path search such as
+    :func:`hamilton_path_between` or :func:`strong_ore_path`, or another
+    search keyed by a vertex pair of g; its errors propagate."""
+    found = search(g, ids.index(x), ids.index(y))
+    return CycleOrPath(tuple(ids[k] for k in found.vertices), found.closed)
 
 
 def assert_valid_cycle(g: SimpleGraph, c: CycleOrPath, hamilton: bool = True) -> None:

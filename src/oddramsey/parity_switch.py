@@ -38,7 +38,7 @@ from .hamilton import (
     assert_valid_cycle,
     dirac_hamilton_cycle,
     hamilton_path_between,
-    hamilton_path_in_subgraph,
+    search_in_ids,
     short_connector,
     short_connectors,
     strong_ore_path,
@@ -161,8 +161,8 @@ def switch_c4(
     _checked_odd_witness(g, chi, c4, 4)
     u, v, w, x = c4.vertices
     q = short_connector(g, v, x, {u, w})
-    keep = [z for z in range(g.n) if z not in q.vertices]
-    p = _orient(hamilton_path_in_subgraph(g, keep, u, w), u)
+    sub, keep = g.induced(z for z in range(g.n) if z not in q.vertices)
+    p = _orient(search_in_ids(hamilton_path_between, sub, keep, u, w), u)
     return _pick_even(
         g, chi, ((u,), q.vertices, _rev(p)[:-1]), ((u,), _rev(q), _rev(p)[:-1]),
         c4, "c4-switch",
@@ -287,10 +287,10 @@ def _try_ad_path(
 ) -> CycleOrPath | None:
     """Hamilton {a,d}-path of the residual subgraph, in g's vertex ids."""
     try:
-        found = hamilton_path_between(sub, keep.index(a), keep.index(d))
+        found = search_in_ids(hamilton_path_between, sub, keep, a, d)
     except NotFoundError:
         return None
-    return _orient(CycleOrPath(tuple(keep[i] for i in found.vertices)), a)
+    return _orient(found, a)
 
 
 def _case1(
@@ -334,8 +334,9 @@ def _case12(
     a, b, c, d, e, f = hexa
     np = len(keep)
     try:
-        found = dirac_hamilton_cycle(
-            sub.without_edge(graph_edge(keep.index(a), keep.index(d)))
+        found = search_in_ids(
+            lambda h, i, j: dirac_hamilton_cycle(h.without_edge(graph_edge(i, j))),
+            sub, keep, a, d,
         )
     except (NotFoundError, PreconditionFailed):
         # Tiny residual graphs can make the avoiding cycle impossible;
@@ -346,7 +347,7 @@ def _case12(
         return _generic_candidates(
             g, chi, hexa, q1, q2, p, "c6-switch case-1.2-path-fallback"
         )
-    cyc = [keep[i] for i in found.vertices]
+    cyc = list(found.vertices)
     for u, v in zip(cyc, cyc[1:] + cyc[:1]):
         if 2 * degs[u] == np and 2 * degs[v] == np:
             break
@@ -442,8 +443,7 @@ def _case13(
     delegated = _delegate_if_odd(g, chi, (u, b, a, f), (v, c, d, e))
     if delegated is not None:
         return delegated
-    inner = strong_ore_path(sub, keep.index(u), keep.index(v))
-    path = _orient(CycleOrPath(tuple(keep[i] for i in inner.vertices)), u)
+    path = _orient(search_in_ids(strong_ore_path, sub, keep, u, v), u)
     new_hexa = (u, b, c, v, e, f)
     return _generic_candidates(
         g, chi, new_hexa, q1, q2, path, "c6-switch case-1.3"

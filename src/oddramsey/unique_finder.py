@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .colored_graph import (
     CycleOrPath,
@@ -40,7 +40,8 @@ from .colored_graph import (
     cycle_census,
 )
 from .errors import InternalContradiction, NotFoundError, PreconditionFailed
-from .hamilton import assert_valid_cycle, dirac_hamilton_cycle, hamilton_path_between
+from .hamilton import assert_valid_cycle, dirac_hamilton_cycle
+from .hamilton import hamilton_path_between, search_in_ids
 
 
 @dataclass(frozen=True)
@@ -586,28 +587,21 @@ def _iter_attachments(col, ws: list[int], pool: list[int], allowed):
     yield from rec(0)
 
 
-def _free_subgraph_path(
-    chi: EdgeColoring,
-    vertices: list[int],
-    x: int,
-    y: int,
-    banned_colors: set[int],
-) -> list[int] | None:
-    """Hamilton {x,y}-path of the induced subgraph avoiding banned colors."""
-    order = sorted(vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    es = [
-        (pos[u], pos[v])
-        for u in order
-        for v in order
-        if u < v and chi.color(u, v) not in banned_colors
-    ]
-    sub = SimpleGraph(len(order), es)
-    try:
-        path = hamilton_path_between(sub, pos[x], pos[y])
-    except NotFoundError:
-        return None
-    return [order[i] for i in path.vertices]
+def _free_pool_graph(
+    chi: EdgeColoring, pool: list[int], free: set[int]
+) -> SimpleGraph:
+    """The closers' search graph: vertex i stands for ``pool[i]`` (sorted,
+    real vertices), and ij is an edge iff its color is free.
+
+    ``unused`` and ``free`` partition the palette (see
+    :func:`merge_endpoints`), so on pool edges "color in free" is the same
+    test as "color not in unused", or "color not c" with one unused c.
+    """
+    return SimpleGraph(len(pool), [
+        (i, j)
+        for (i, u), (j, v) in combinations(enumerate(pool), 2)
+        if chi.color(u, v) in free
+    ])
 
 
 def close_cycle(
@@ -628,15 +622,17 @@ def close_cycle(
     col = coll.color_fn(chi)
     pool = sorted(coll.remaining - coll.cherry_centers)
     free = lambda c: c in ledger.free  # noqa: E731
+    graph = _free_pool_graph(chi, pool, ledger.free)
 
     if len(coll.paths) == 1:
         p = coll.paths[0]
         for z_tail, z_head in _iter_attachments(col, [p[-1], p[0]], pool, free):
-            arc = _free_subgraph_path(chi, pool, z_tail, z_head, ledger.unused)
-            if arc is not None:
-                ledger.note("close", mode="single-path",
-                            attachments=[z_tail, z_head])
-                return p + arc
+            try:
+                arc = search_in_ids(hamilton_path_between, graph, pool, z_tail, z_head)
+            except NotFoundError:
+                continue
+            ledger.note("close", mode="single-path", attachments=[z_tail, z_head])
+            return p + list(arc.vertices)
         raise InternalContradiction("single path admits no free closing arc")
 
     if len(coll.paths) != 2:
@@ -646,21 +642,16 @@ def close_cycle(
     w2, w2p = f2[0], f2[-1]
     for zs in _iter_attachments(col, [w1, w1p, w2, w2p], pool, free):
         z1, z1p, z2, z2p = zs
-        core = [v for v in pool if v not in zs]
-        k = len(core)
-        star1, star2 = k, k + 1
-        edges = [
-            (i, j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if chi.color(core[i], core[j]) in ledger.free
-        ]
-        for i, v in enumerate(core):
-            if chi.color(z1, v) in ledger.free and chi.color(z1p, v) in ledger.free:
-                edges.append((i, star1))
-            if chi.color(z2, v) in ledger.free and chi.color(z2p, v) in ledger.free:
-                edges.append((i, star2))
-        aux = SimpleGraph(k + 2, edges)
+        keep = [i for i, v in enumerate(pool) if v not in zs]
+        # Stars first, then the core and both stars are kept: the kept set
+        # is never empty, and the stars come out as vertices k and k + 1.
+        aux, _ = graph.add_vertex_with_neighbors(
+            i for i in keep if free(col(z1, pool[i])) and free(col(z1p, pool[i]))
+        ).add_vertex_with_neighbors(
+            i for i in keep if free(col(z2, pool[i])) and free(col(z2p, pool[i]))
+        ).induced([*keep, len(pool), len(pool) + 1])
+        core = [pool[i] for i in keep]
+        star1, star2 = len(core), len(core) + 1
         try:
             cyc = dirac_hamilton_cycle(aux)
         except NotFoundError:
@@ -720,29 +711,25 @@ def _close_one_path_one_unused(
     pool = sorted(coll.remaining)
     p = coll.paths[0]
     f_c = sum(1 for x, y in zip(p, p[1:]) if col(x, y) == c)
-    c_edges = [
-        (u, v)
-        for u in pool
-        for v in pool
-        if u < v and chi.color(u, v) == c
-    ]
-    for z_tail in pool:
-        for z_head in pool:
-            if z_head == z_tail:
-                continue
-            att = (col(p[-1], z_tail) == c) + (col(p[0], z_head) == c)
-            if f_c + att != 1:
-                arc = _free_subgraph_path(chi, pool, z_tail, z_head, {c})
-                if arc is not None:
-                    ledger.note("close", mode="single-unused-one-path",
-                                attachments=[z_tail, z_head], hot_count=att)
-                    return p + arc
-            if c_edges and f_c + att + 1 != 1:
-                arc = _arc_through_edge(pool, z_tail, z_head, c_edges[0])
-                if arc is not None:
-                    ledger.note("close", mode="single-unused-one-path-hot-arc",
-                                attachments=[z_tail, z_head], hot_count=att + 1)
-                    return p + arc
+    c_edges = [e for e in combinations(pool, 2) if chi.color(*e) == c]
+    graph = _free_pool_graph(chi, pool, ledger.free)
+    for z_tail, z_head in permutations(pool, 2):
+        att = (col(p[-1], z_tail) == c) + (col(p[0], z_head) == c)
+        if f_c + att != 1:
+            try:
+                arc = search_in_ids(hamilton_path_between, graph, pool, z_tail, z_head)
+            except NotFoundError:
+                pass
+            else:
+                ledger.note("close", mode="single-unused-one-path",
+                            attachments=[z_tail, z_head], hot_count=att)
+                return p + list(arc.vertices)
+        if c_edges and f_c + att + 1 != 1:
+            arc = _arc_through_edge(pool, z_tail, z_head, c_edges[0])
+            if arc is not None:
+                ledger.note("close", mode="single-unused-one-path-hot-arc",
+                            attachments=[z_tail, z_head], hot_count=att + 1)
+                return p + arc
     raise InternalContradiction("one-path closing exhausted every assignment")
 
 
@@ -796,38 +783,32 @@ def special_case_single_unused(
 
     # All endpoint attachments into the pool are off-color: pick four
     # attachment vertices and split the pool into two spanning arcs by a
-    # stand-in vertex wedged between the two far attachments.
-    pos = {v: i for i, v in enumerate(pool)}
-    stand_in = len(pool)
-    base_edges = [
-        (pos[u], pos[v])
-        for u in pool
-        for v in pool
-        if u < v and chi.color(u, v) != c
-    ]
+    # stand-in vertex wedged between the two far attachments.  The
+    # stand-in is f2 contracted to one vertex, so it carries the id f2[0],
+    # which no pool vertex has.
+    graph = _free_pool_graph(chi, pool, ledger.free)
+    ids = [*pool, f2[0]]
     for quad in combinations(pool, 4):
         for z_near, z_far, z_m1, z_m2 in (
             (quad[0], quad[1], quad[2], quad[3]),
             (quad[0], quad[2], quad[1], quad[3]),
             (quad[0], quad[3], quad[1], quad[2]),
         ):
-            es = base_edges + [(pos[z_m1], stand_in), (pos[z_m2], stand_in)]
-            sub = SimpleGraph(len(pool) + 1, es)
+            sub = graph.add_vertex_with_neighbors([pool.index(z_m1), pool.index(z_m2)])
             try:
-                walk = hamilton_path_between(sub, pos[z_near], pos[z_far])
+                walk = search_in_ids(hamilton_path_between, sub, ids, z_near, z_far)
             except NotFoundError:
                 continue
-            seq = [pool[i] if i < stand_in else -1 for i in walk.vertices]
-            cut = seq.index(-1)
-            arc_a, arc_b = seq[:cut], seq[cut + 1 :]
-            # arc_a runs z_near..{z_m1 or z_m2}; arc_b the other..z_far.
-            f2seg = f2 if arc_a[-1] == z_m1 else list(reversed(f2))
+            # walk runs z_near..{z_m1 or z_m2}, f2[0], the other..z_far.
+            seq = list(walk.vertices)
+            cut = seq.index(f2[0])
+            seq[cut : cut + 1] = f2 if seq[cut - 1] == z_m1 else f2[::-1]
             ledger.note(
                 "close",
                 mode="single-unused-two-arcs",
                 attachments=[z_near, z_far, z_m1, z_m2],
             )
-            return f1 + arc_a + f2seg + arc_b
+            return f1 + seq
     raise InternalContradiction("no two-arc cover avoids the unused color")
 
 

@@ -226,6 +226,72 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys, name):
     assert f"usage error: cannot read {path}" in err
 
 
+def test_non_utf8_input_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    raw = b'\xff\xfe{"n": 3}'
+    path = tmp_path / "latin.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "export", "dot", "--input", str(path))
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith(f"usage error: cannot read {path}: 'utf-8' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # stdin decodes with surrogateescape, so the same bytes reach the parser
+    text = raw.decode("utf-8", "surrogateescape")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "export", "dot", "--input", "-")
+    assert code == USAGE_EXIT and out == ""
+    assert "usage error: invalid instance: invalid JSON" in err
+
+
+def test_deeply_nested_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "export", "dot", "--input", str(path))
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith(
+        "usage error: invalid instance: invalid JSON: maximum recursion depth"
+    )
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "random", "--n", "-3", "--r", "2", "--seed", "1"),
+        ("gen", "random", "--n", "0", "--r", "2", "--seed", "1"),
+        ("gen", "random", "--n", "2001", "--r", "2", "--seed", "1"),
+        ("construct", "unique-upper", "--n", "0"),
+        ("construct", "unique-upper", "--n", "2002"),
+    ],
+)
+def test_generator_sizes_outside_the_cap_fail_before_building(
+    capsys, monkeypatch, argv
+):
+    # the size is checked before any table is built: the generators must not run
+    from oddramsey import constructions
+
+    def refuse(*args):
+        raise AssertionError(f"generator ran with {args}")
+
+    monkeypatch.setattr(constructions, "random_coloring", refuse)
+    monkeypatch.setattr(constructions, "unique_upper_coloring", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    n = argv[argv.index("--n") + 1]
+    assert code == STATUS_CODES["precondition_failed"] == 4
+    assert json.loads(out) == {
+        "error": f"instance size n = {n} outside 1..2000",
+        "status": "precondition_failed",
+    }
+    assert "Traceback" not in err
+
+
+def test_generators_accept_the_cap_boundaries(capsys):
+    for argv in (["gen", "random", "--n", "1", "--r", "1", "--seed", "0"],
+                 ["construct", "unique-upper", "--n", "4"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        instance_from_json(out)
+
+
 @settings(max_examples=120, deadline=None)
 @given(instance_like())
 def test_cli_parse_boundary_exits_0_or_64(obj):

@@ -301,6 +301,19 @@ def test_instance_rejects_invalid_json():
         instance_from_json("{not json")
 
 
+@pytest.mark.parametrize("opener", ["[", '{"n": '])
+def test_instance_rejects_json_nested_past_the_parser_depth(opener):
+    # json.loads raises RecursionError here, not JSONDecodeError
+    with pytest.raises(PreconditionFailed, match="^invalid JSON: maximum recursion"):
+        instance_from_json(opener * 100_000)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_complete_graph_below_one_vertex_is_rejected(n):
+    with pytest.raises(PreconditionFailed, match="graph needs at least one vertex"):
+        SimpleGraph.complete(n)
+
+
 def test_incomplete_coloring_rejected():
     host = SimpleGraph.complete(4)
     assignment = {e: 1 for e in host.edges()}

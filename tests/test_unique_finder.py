@@ -1,6 +1,8 @@
+import collections
 import copy
 import itertools
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,13 @@ from oddramsey.constructions import (
     random_edge_coloring,
     random_min_degree_graph,
 )
-from oddramsey.errors import InternalContradiction, PreconditionFailed
+from oddramsey.errors import (
+    InternalContradiction,
+    NotFoundError,
+    OddRamseyError,
+    PreconditionFailed,
+)
+from oddramsey.hamilton import dirac_hamilton_cycle, hamilton_path_between
 from oddramsey.unique_finder import (
     Claw,
     ColorLedger,
@@ -23,6 +31,7 @@ from oddramsey.unique_finder import (
     _greedy_claws,
     _iter_attachments,
     _merge_at,
+    close_cycle,
     find_unique_free_hamilton,
     harvest_cherries_matchings,
     max_claw_collection,
@@ -630,6 +639,246 @@ def test_special_case_two_paths_all_free():
 
     census = cycle_census(chi, CycleOrPath(tuple(seq), closed=True))
     assert census.count(2) != 1
+
+
+def _reference_free_subgraph_path(chi, vertices, x, y, banned_colors):
+    """The closers' arc search as it was before the pool graph: the graph
+    is rebuilt from color reads on every call."""
+    order = sorted(vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    es = [
+        (pos[u], pos[v])
+        for u in order
+        for v in order
+        if u < v and chi.color(u, v) not in banned_colors
+    ]
+    try:
+        path = hamilton_path_between(SimpleGraph(len(order), es), pos[x], pos[y])
+    except NotFoundError:
+        return None
+    return [order[i] for i in path.vertices]
+
+
+def _reference_close_cycle(chi, coll, ledger):
+    """close_cycle with per-attempt graph building, as before the pool graph."""
+    col = coll.color_fn(chi)
+    pool = sorted(coll.remaining - coll.cherry_centers)
+    free = lambda c: c in ledger.free  # noqa: E731
+    if len(coll.paths) == 1:
+        p = coll.paths[0]
+        for z_tail, z_head in _iter_attachments(col, [p[-1], p[0]], pool, free):
+            arc = _reference_free_subgraph_path(
+                chi, pool, z_tail, z_head, ledger.unused
+            )
+            if arc is not None:
+                ledger.note("close", mode="single-path", attachments=[z_tail, z_head])
+                return p + arc
+        raise InternalContradiction("single path admits no free closing arc")
+    if len(coll.paths) != 2:
+        raise InternalContradiction("closing expects one or two paths")
+    f1, f2 = coll.paths
+    for zs in _iter_attachments(col, [f1[0], f1[-1], f2[0], f2[-1]], pool, free):
+        z1, z1p, z2, z2p = zs
+        core = [v for v in pool if v not in zs]
+        k = len(core)
+        star1, star2 = k, k + 1
+        edges = [
+            (i, j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if chi.color(core[i], core[j]) in ledger.free
+        ]
+        for i, v in enumerate(core):
+            if chi.color(z1, v) in ledger.free and chi.color(z1p, v) in ledger.free:
+                edges.append((i, star1))
+            if chi.color(z2, v) in ledger.free and chi.color(z2p, v) in ledger.free:
+                edges.append((i, star2))
+        try:
+            cyc = dirac_hamilton_cycle(SimpleGraph(k + 2, edges))
+        except NotFoundError:
+            continue
+        rot = list(cyc.vertices)
+        i1 = rot.index(star1)
+        rot = rot[i1:] + rot[:i1]
+        i2 = rot.index(star2)
+        arc_a = [core[i] for i in rot[1:i2]]
+        arc_b = [core[i] for i in rot[i2 + 1 :]]
+        f2.reverse()
+        ledger.note("close", mode="two-paths", attachments=zs)
+        return [z1] + f1 + [z1p] + arc_b[::-1] + [z2p] + f2 + [z2] + arc_a[::-1]
+    raise InternalContradiction("no attachment quadruple closes the two paths")
+
+
+def _reference_special_case_single_unused(chi, coll, ledger):
+    """special_case_single_unused (and its one-path closer) with
+    per-attempt graph building and the -1 stand-in, as before the pool
+    graph."""
+    (c,) = ledger.unused
+    col = coll.color_fn(chi)
+    pool = sorted(coll.remaining)
+    if len(coll.paths) == 1:
+        p = coll.paths[0]
+        f_c = sum(1 for x, y in zip(p, p[1:]) if col(x, y) == c)
+        c_edges = [(u, v) for u in pool for v in pool if u < v and chi.color(u, v) == c]
+        for z_tail in pool:
+            for z_head in pool:
+                if z_head == z_tail:
+                    continue
+                att = (col(p[-1], z_tail) == c) + (col(p[0], z_head) == c)
+                if f_c + att != 1:
+                    arc = _reference_free_subgraph_path(chi, pool, z_tail, z_head, {c})
+                    if arc is not None:
+                        ledger.note("close", mode="single-unused-one-path",
+                                    attachments=[z_tail, z_head], hot_count=att)
+                        return p + arc
+                if c_edges and f_c + att + 1 != 1:
+                    arc = _arc_through_edge(pool, z_tail, z_head, c_edges[0])
+                    if arc is not None:
+                        ledger.note("close", mode="single-unused-one-path-hot-arc",
+                                    attachments=[z_tail, z_head], hot_count=att + 1)
+                        return p + arc
+        raise InternalContradiction("one-path closing exhausted every assignment")
+    if len(coll.paths) != 2:
+        raise InternalContradiction("the single-unused case caps the paths at two")
+    f1, f2 = coll.paths
+    ends = [(0, f1[0]), (0, f1[-1]), (1, f2[0]), (1, f2[-1])]
+    hot = next(
+        ((which, w, z) for which, w in ends for z in pool if col(w, z) == c), None
+    )
+    if hot is not None:
+        which, w, z = hot
+        if which == 1:
+            f1, f2 = f2, f1
+        if f1[0] != w:
+            f1.reverse()
+        if col(f1[-1], f2[0]) != c:
+            f2.reverse()
+        if col(f1[-1], f2[0]) != c:
+            raise InternalContradiction(
+                "cross endpoint edges must carry the unused color"
+            )
+        ledger.note("close", mode="single-unused-hot-edge", through=[z, w])
+        return [z] + f1 + f2 + [v for v in pool if v != z]
+    pos = {v: i for i, v in enumerate(pool)}
+    stand_in = len(pool)
+    base_edges = [
+        (pos[u], pos[v]) for u in pool for v in pool if u < v and chi.color(u, v) != c
+    ]
+    for quad in combinations(pool, 4):
+        for z_near, z_far, z_m1, z_m2 in (
+            (quad[0], quad[1], quad[2], quad[3]),
+            (quad[0], quad[2], quad[1], quad[3]),
+            (quad[0], quad[3], quad[1], quad[2]),
+        ):
+            es = base_edges + [(pos[z_m1], stand_in), (pos[z_m2], stand_in)]
+            try:
+                walk = hamilton_path_between(
+                    SimpleGraph(len(pool) + 1, es), pos[z_near], pos[z_far]
+                )
+            except NotFoundError:
+                continue
+            seq = [pool[i] if i < stand_in else -1 for i in walk.vertices]
+            cut = seq.index(-1)
+            arc_a, arc_b = seq[:cut], seq[cut + 1 :]
+            f2seg = f2 if arc_a[-1] == z_m1 else list(reversed(f2))
+            ledger.note("close", mode="single-unused-two-arcs",
+                        attachments=[z_near, z_far, z_m1, z_m2])
+            return f1 + arc_a + f2seg + arc_b
+    raise InternalContradiction("no two-arc cover avoids the unused color")
+
+
+def _planted_closing_state(rng):
+    """A closing state with one or two paths, colored so that the unused
+    colors are rare: most states close, some at the tight end, and small
+    pools make some fail."""
+    n = rng.randrange(10, 24)
+    r = rng.randrange(2, 6)
+    order = rng.sample(range(n), n)
+    paths, at = [], 0
+    for _ in range(rng.choice([1, 2])):
+        k = rng.randrange(2, 5)
+        paths.append(order[at : at + k])
+        at += k
+    unused = set(rng.sample(range(1, r + 1), rng.randrange(1, r)))
+    free = sorted(set(range(1, r + 1)) - unused)
+    share = rng.choice([0.0, 0.02, 0.05, 0.15, 0.3])
+    host = SimpleGraph.complete(n)
+    chi = EdgeColoring(host, r, {
+        e: rng.choice(sorted(unused)) if rng.random() < share else rng.choice(free)
+        for e in host.edges()
+    })
+    coll, ledger = _hand_state(n, r, paths, order[at:], unused)
+    return chi, coll, ledger
+
+
+def _closing_outcome(fn, chi, coll, ledger):
+    try:
+        out = fn(chi, coll, ledger)
+    except OddRamseyError as exc:  # the search budget's CapExceeded included
+        out = type(exc), str(exc)
+    return out, coll.paths, ledger.history
+
+
+def test_closers_match_per_attempt_graph_building_on_planted_states():
+    rng = random.Random(19)
+    modes = collections.Counter()
+    for _ in range(400):
+        chi, coll, ledger = _planted_closing_state(rng)
+        if len(ledger.unused) == 1:
+            fn, ref = special_case_single_unused, _reference_special_case_single_unused
+        else:
+            fn, ref = close_cycle, _reference_close_cycle
+        want = _closing_outcome(ref, chi, copy.deepcopy(coll), copy.deepcopy(ledger))
+        assert _closing_outcome(fn, chi, coll, ledger) == want
+        modes.update(ev["mode"] for ev in ledger.history if ev["event"] == "close")
+    assert set(modes) == {
+        "single-path", "two-paths", "single-unused-one-path",
+        "single-unused-one-path-hot-arc", "single-unused-two-arcs",
+        "single-unused-hot-edge",
+    }
+    assert min(modes.values()) >= 5, modes
+
+
+def _sparse_coloring(n, r, rng):
+    """K_n in one base color, each other color on a few random edges."""
+    host = SimpleGraph.complete(n)
+    base = rng.randrange(1, r + 1)
+    assignment = {e: base for e in host.edges()}
+    edges = list(assignment)
+    for c in range(1, r + 1):
+        if c != base:
+            for e in rng.sample(edges, rng.choice([0, 1, 1, 2, 2, 3, 4, 6])):
+                assignment[e] = c
+    return EdgeColoring(host, r, assignment)
+
+
+def test_closers_match_per_attempt_graph_building_on_pipeline_states():
+    # states the pipeline hands its closers, virtual twins included
+    rng = random.Random(23)
+    modes = collections.Counter()
+    for _ in range(150):
+        n = rng.randrange(8, 40)
+        chi = _sparse_coloring(n, max(1, n // 4 - rng.choice([0, 0, 1])), rng)
+        ledger = ColorLedger.fresh(chi.r)
+        try:
+            coll = max_claw_collection(chi, ledger)
+            for stage in (resolve_dangerous, harvest_cherries_matchings,
+                          merge_endpoints):
+                coll = stage(chi, coll, ledger)
+            if len(ledger.unused) > 1:
+                coll = merge_cherries(chi, coll, ledger)
+        except InternalContradiction:
+            continue
+        if not ledger.unused:
+            continue
+        if len(ledger.unused) == 1:
+            fn, ref = special_case_single_unused, _reference_special_case_single_unused
+        else:
+            fn, ref = close_cycle, _reference_close_cycle
+        want = _closing_outcome(ref, chi, copy.deepcopy(coll), copy.deepcopy(ledger))
+        assert _closing_outcome(fn, chi, coll, ledger) == want
+        modes.update(ev["mode"] for ev in ledger.history if ev["event"] == "close")
+    assert {"single-path", "single-unused-one-path"} <= set(modes), modes
 
 
 def test_pipeline_two_paths_closing():
