@@ -24,18 +24,16 @@ XOR-to-zero search serves both the even covers and that sweep.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb
 from operator import indexOf
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .colored_graph import EdgeColoring, ParityCensus, parity_census
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
 
 
-@dataclass(frozen=True)
-class Miss:
+class Miss(NamedTuple):
     """A search that ended without a bipartition.
 
     ``status`` is "not_found" only when the failing stage carries an
@@ -47,29 +45,25 @@ class Miss:
     stage: str
 
 
-@dataclass(frozen=True)
-class ParityHypergraph:
+class ParityHypergraph(NamedTuple):
     """Hypergraph on the color palette; edges are labeled odd-supports."""
 
     palette: int
     edges: tuple[tuple[int, frozenset[int]], ...]
 
 
-@dataclass(frozen=True)
-class EvenCover:
+class EvenCover(NamedTuple):
     labels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StronglyEvenWitness:
+class StronglyEvenWitness(NamedTuple):
     """K_{s',t'} in which every t'-side vertex sees an all-even census."""
 
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, starmap
 from typing import Iterable, Iterator, NamedTuple
 
@@ -171,8 +170,7 @@ def min_degree(g: SimpleGraph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-@dataclass(frozen=True)
-class ParityCensus:
+class ParityCensus(NamedTuple):
     """Per-color edge counts of a designated edge set.
 
     Full counts are stored (not just parities) because the unique-color
@@ -180,7 +178,7 @@ class ParityCensus:
     count 0.
     """
 
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: dict[int, int]
 
     def count(self, color: int) -> int:
         return self.counts.get(color, 0)
@@ -279,18 +277,28 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.host.n}, r={self.r})"
 
 
-@dataclass(frozen=True)
-class CycleOrPath:
-    """A vertex-distinct path, or a cycle when ``closed`` is True."""
-
+class _CycleOrPathFields(NamedTuple):
     vertices: tuple[int, ...]
     closed: bool = False
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class CycleOrPath(_CycleOrPathFields):
+    """A vertex-distinct path, or a cycle when ``closed`` is True.
+
+    ``__new__`` checks every construction, ``_make`` and ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[int, ...], closed: bool = False):
+        if len(set(vertices)) != len(vertices):
             raise PreconditionFailed("repeated vertex in cycle/path")
-        if self.closed and len(self.vertices) < 3:
+        if closed and len(vertices) < 3:
             raise PreconditionFailed("a cycle needs at least 3 vertices")
+        return tuple.__new__(cls, (vertices, closed))
+
+    @classmethod
+    def _make(cls, iterable) -> "CycleOrPath":
+        return cls(*iterable)
 
     def edges(self) -> list[Edge]:
         vs = self.vertices

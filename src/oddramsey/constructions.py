@@ -23,8 +23,7 @@ its state budget, its one work limit, it raises CapExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .colored_graph import (
     CycleOrPath,
@@ -233,8 +232,7 @@ def verify_every_cycle(
     return False, cyc
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Outcome of the exact oracle: an upper-bound witness or exhaustion.
 
     ``exists`` answers "is there an r-coloring making every Hamilton cycle

@@ -18,9 +18,8 @@ path or cycle it accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .colored_graph import CycleOrPath, Edge, SimpleGraph, min_degree
 from .errors import (
@@ -37,8 +36,7 @@ ENUMERATION_CAP = 12
 FALLBACK_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """A closure computation: base graph, ordered added edges, fixpoint.
 
     Each added edge carries the degree-sum witness at its insertion step;

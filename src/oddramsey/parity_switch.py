@@ -14,9 +14,8 @@ inequivalent orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .colored_graph import (
     CycleOrPath,
@@ -51,8 +50,7 @@ class _CaseExhausted(InternalContradiction):
     other existential choices before giving up."""
 
 
-@dataclass(frozen=True)
-class SwitchOutcome:
+class SwitchOutcome(NamedTuple):
     """An even-chromatic Hamilton cycle plus how it was obtained.
 
     ``candidates`` are the two internally constructed Hamilton cycles and
@@ -67,8 +65,7 @@ class SwitchOutcome:
     witness: CycleOrPath | None = None
 
 
-@dataclass(frozen=True)
-class AgreementPartition:
+class AgreementPartition(NamedTuple):
     """Vertex partition into at most two blocks of pairwise agreeing vertices."""
 
     classes: tuple[frozenset[int], ...]
@@ -181,7 +178,7 @@ def _delegate_if_odd(
         cyc.validate(g)
         if cycle_census(chi, cyc).is_odd_chromatic():
             inner = switch_c4(g, chi, cyc)
-            return replace(inner, provenance=inner.provenance + " (delegated)")
+            return inner._replace(provenance=inner.provenance + " (delegated)")
     return None
 
 
@@ -476,7 +473,7 @@ def _case2(g, chi, hexa, q1, q2) -> SwitchOutcome:
     new_q1 = CycleOrPath((w, e))
     new_q2 = CycleOrPath((b, z))
     out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
-    return replace(out, provenance="c6-switch case-2 -> " + out.provenance)
+    return out._replace(provenance="c6-switch case-2 -> " + out.provenance)
 
 
 _CASE3_LABELINGS = (
@@ -520,7 +517,7 @@ def _case3(g, chi, hexa, q1, q2) -> SwitchOutcome:
     new_q1 = CycleOrPath((w, e2))
     new_q2 = short_connector(g, b2, d2, {f2, c2, w, e2})
     out = _c6_dispatch(g, chi, new_hexa, new_q1, new_q2)
-    return replace(out, provenance="c6-switch case-3 -> " + out.provenance)
+    return out._replace(provenance="c6-switch case-3 -> " + out.provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ without the proxy the endpoint-pair bound on surviving paths fails.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .colored_graph import (
     CycleOrPath,
@@ -44,8 +44,7 @@ from .hamilton import assert_valid_cycle, dirac_hamilton_cycle
 from .hamilton import hamilton_path_between, search_in_ids
 
 
-@dataclass(frozen=True)
-class Claw:
+class Claw(NamedTuple):
     center: int
     leaves: tuple[int, int, int]
     color: int
@@ -54,14 +53,32 @@ class Claw:
         return {self.center, *self.leaves}
 
 
-@dataclass
-class ColorLedger:
+class _State:
+    """A mutable record over ``__slots__``: repr and equality by field value."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+
+class ColorLedger(_State):
     """Unused/free color sets plus the ordered transition log."""
 
-    palette: int
-    unused: set[int]
-    free: set[int] = field(default_factory=set)
-    history: list[dict] = field(default_factory=list)
+    __slots__ = ("palette", "unused", "free", "history")
+
+    def __init__(self, palette: int, unused: set[int],
+                 free: set[int] | None = None, history: list[dict] | None = None):
+        self.palette = palette
+        self.unused = unused
+        self.free = set() if free is None else free
+        self.history = [] if history is None else history
 
     @classmethod
     def fresh(cls, palette: int) -> "ColorLedger":
@@ -72,9 +89,7 @@ class ColorLedger:
             raise InternalContradiction(f"color {color} freed twice")
         self.unused.discard(color)
         self.free.add(color)
-        self.history.append(
-            {"event": "free-color", "color": color, "reason": reason, **info}
-        )
+        self.note("free-color", color=color, reason=reason, **info)
 
     def note(self, event: str, **info) -> None:
         self.history.append({"event": event, **info})
@@ -85,8 +100,7 @@ class ColorLedger:
         self.history.append({"event": "restart", "note": note})
 
 
-@dataclass
-class PreservedCollection:
+class PreservedCollection(_State):
     """Mutable pipeline state: claws, preserved paths, remaining vertices.
 
     ``paths`` hold vertex lists (2 or more vertices each once the claws are
@@ -95,13 +109,22 @@ class PreservedCollection:
     stub edges carry ``gadget_colors``.
     """
 
-    n: int
-    claws: list[Claw] = field(default_factory=list)
-    paths: list[list[int]] = field(default_factory=list)
-    remaining: set[int] = field(default_factory=set)
-    cherry_centers: set[int] = field(default_factory=set)
-    virtual_real: dict[int, int] = field(default_factory=dict)
-    gadget_colors: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "claws", "paths", "remaining", "cherry_centers",
+                 "virtual_real", "gadget_colors")
+
+    def __init__(self, n: int, claws: list[Claw] | None = None,
+                 paths: list[list[int]] | None = None,
+                 remaining: set[int] | None = None,
+                 cherry_centers: set[int] | None = None,
+                 virtual_real: dict[int, int] | None = None,
+                 gadget_colors: dict[int, int] | None = None):
+        self.n = n
+        self.claws = [] if claws is None else claws
+        self.paths = [] if paths is None else paths
+        self.remaining = set() if remaining is None else remaining
+        self.cherry_centers = set() if cherry_centers is None else cherry_centers
+        self.virtual_real = {} if virtual_real is None else virtual_real
+        self.gadget_colors = {} if gadget_colors is None else gadget_colors
 
     def color_fn(self, chi: EdgeColoring):
         vr, gc = self.virtual_real, self.gadget_colors
@@ -116,8 +139,7 @@ class PreservedCollection:
         return col
 
 
-@dataclass(frozen=True)
-class UniqueFreeResult:
+class UniqueFreeResult(NamedTuple):
     cycle: CycleOrPath
     census: ParityCensus
     ledger: ColorLedger
@@ -332,7 +354,8 @@ def harvest_cherries_matchings(
     # A color with no occurrence at all can never reach count one; treating
     # it as unused would only poison the counting (relevant for oversized
     # best-effort palettes).
-    for c in sorted(ledger.unused - chi.colors_present()):
+    present = chi.colors_present()
+    for c in sorted(ledger.unused - present):
         ledger.free_color(c, "absent")
     for c in sorted(ledger.unused):
         cherry = None
@@ -377,8 +400,9 @@ def harvest_cherries_matchings(
     if len(rem) < 4 * len(ledger.unused):
         raise InternalContradiction("remaining set shrank below four per unused color")
     # Split claws: smallest leaf becomes a singleton (virtual twin attached),
-    # the center and the other two leaves a cherry in the claw's color.
-    free_pool = sorted(ledger.free)
+    # the center and the other two leaves a cherry in the claw's color; the
+    # twin's stub takes a free color the host has, never an absent one.
+    free_pool = sorted(ledger.free & present)
     if coll.claws and not free_pool:
         raise InternalContradiction("claws exist but no color is free")
     virtuals = []

@@ -313,6 +313,37 @@ def test_harvest_splits_claws_and_installs_twins():
     assert all(c in ledger.free for c in coll.gadget_colors.values())
 
 
+def test_twin_gadget_color_occurs_in_the_host():
+    # every edge has color 2, so color 1 is freed as absent before the claws
+    # split; a twin stub in color 1 would be that color's only occurrence
+    chi = mono_coloring(8, color=2, r=2)
+    res = find_unique_free_hamilton(chi)
+    assert res.cycle.is_hamilton(8) and not res.census.unique_colors
+    splits = [ev for ev in res.ledger.history if ev["event"] == "claw-split"]
+    assert splits and all(ev["gadget_color"] == 2 for ev in splits)
+
+
+def _one_base_coloring(rng):
+    """K_n with r <= n/4: one base color, every other on 0-6 random edges."""
+    n = rng.randrange(8, 24)
+    r = rng.randrange(1, n // 4 + 1)
+    base = rng.randrange(1, r + 1)
+    pairs = list(combinations(range(n), 2))
+    overrides = {}
+    for c in range(1, r + 1):
+        if c != base:
+            overrides.update(dict.fromkeys(rng.sample(pairs, rng.randrange(7)), c))
+    return coloring_with(n, r, overrides, base=base)
+
+
+def test_sparse_colorings_close_a_cycle():
+    rng = random.Random(20)
+    for _ in range(1000):
+        chi = _one_base_coloring(rng)
+        res = find_unique_free_hamilton(chi)
+        assert res.cycle.is_hamilton(chi.host.n) and not res.census.unique_colors
+
+
 def _hand_state(n, r, paths, remaining, unused):
     ledger = ColorLedger.fresh(r)
     for c in sorted(set(range(1, r + 1)) - set(unused)):
