@@ -8,11 +8,13 @@ cover (every color covered an even number of times) marks a t-set B that
 makes {w_1,w_2,w_3} x B even-chromatic, hence the assembled K_{s,t} too.
 
 The strongly-even search lists every vertex's even s'-neighborhoods as
-int vertex masks, one list per vertex built class by class, and counts
-each mask's earlier owners in one Counter; only the witness mask is
-decoded, and its owners are recovered by a parity test of their stars.
-Past ``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the class sizes
-before each list is built, the search answers "unknown".
+int vertex masks, one list per vertex built class by class.  The first
+t'-1 lists are only held: vertex t'-1 probes their intersection, exactly
+the masks with t'-1 earlier owners, and only a miss there starts one
+Counter of earlier owners.  Only the witness mask is decoded, and its
+owners are recovered by a parity test of their stars.  Past
+``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the class sizes before
+each list is built, the search answers "unknown".
 
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
@@ -173,17 +175,21 @@ def find_strongly_even(
 ) -> StronglyEvenWitness | Miss:
     """Search for a strongly-even-chromatic K_{s',t'} by double counting.
 
-    One Counter holds, per even s'-neighborhood (a vertex bitmask from
-    ``_even_masks``), how many earlier vertices own it.  Each vertex takes
-    the first mask in its list that already has t'-1 owners; failing that,
-    its whole list enters the Counter in one update.  On a hit only that
-    mask is decoded, and its earlier owners are recovered by testing the
-    star of each earlier vertex at it for an all-even census.  The index is
-    exhaustive, so a miss certifies that no witness exists, unless the
-    lists, counted before they are built, would pass
-    ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".  With
-    t'=1 the first mask of the first vertex that has one is the witness,
-    and ``_first_even_mask`` finds it without listing the rest.
+    Each vertex takes the first even s'-neighborhood in its list (vertex
+    bitmasks from ``_even_masks``) that t'-1 earlier vertices own.  Before
+    vertex t'-1 no mask has that many owners, so vertices 0..t'-2 only hold
+    their lists.  No list repeats a mask, so the masks with t'-1 owners at
+    vertex t'-1 are exactly the intersection of the held lists, and its
+    first mask in that vertex's list is the witness.  If none is, counting
+    starts there: one Counter takes the held lists and vertex t'-1's, then
+    each later vertex probes it and, failing, enters its whole list in one
+    update.  On a hit only that mask is decoded, and its earlier owners are
+    recovered by testing the star of each earlier vertex at it for an
+    all-even census.  The index is exhaustive, so a miss certifies that no
+    witness exists, unless the lists, counted before they are built, would
+    pass ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".
+    With t'=1 the first mask of the first vertex that has one is the
+    witness, and ``_first_even_mask`` finds it without listing the rest.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -201,6 +207,8 @@ def find_strongly_even(
             if mask is not None:
                 return StronglyEvenWitness(_bits(mask), (u,))
         return Miss("not_found", "strongly-even")
+    # Vertices 0..t'-2 cannot hit, so their lists are held, not counted.
+    window: list[list[int]] = []
     owners: Counter[int] = Counter()
     listed = 0
     for u in range(n):
@@ -208,12 +216,22 @@ def find_strongly_even(
         if listed > STRONGLY_EVEN_MASK_BUDGET:
             return Miss("unknown", "strongly-even")
         masks = _even_masks(chi, u, s_prime)
-        try:
-            at = indexOf(map(owners.get, masks, repeat(0)), t_prime - 1)
-        except ValueError:
-            owners.update(masks)
+        if u < t_prime - 1:
+            window.append(masks)
             continue
-        mask = masks[at]
+        if u == t_prime - 1:
+            mask = _first_in_every(masks, window)
+            if mask is None:
+                for held in (*window, masks):
+                    owners.update(held)
+                continue
+        else:
+            try:
+                at = indexOf(map(owners.get, masks, repeat(0)), t_prime - 1)
+            except ValueError:
+                owners.update(masks)
+                continue
+            mask = masks[at]
         side_a = _bits(mask)
         prior = [
             v for v in range(u)
@@ -224,6 +242,16 @@ def find_strongly_even(
             raise InternalContradiction("strongly-even index miscounted owners")
         return StronglyEvenWitness(side_a, (*prior, u))
     return Miss("not_found", "strongly-even")
+
+
+def _first_in_every(masks: list[int], lists: list[list[int]]) -> int | None:
+    """The first of ``masks`` that every one of ``lists`` holds, if any.
+
+    No list repeats a mask, so these are exactly the masks with
+    ``len(lists)`` owners among the listed vertices.
+    """
+    common = set(lists[0]).intersection(*lists[1:])
+    return next(filter(common.__contains__, masks), None)
 
 
 def build_parity_hypergraph(

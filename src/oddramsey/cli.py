@@ -88,7 +88,8 @@ def build_parser() -> _Parser:
     f3.add_argument("--input", required=True)
     f3.add_argument("--s", type=int, required=True)
     f3.add_argument("--t", type=int, required=True)
-    f3.add_argument("--t-prime", type=int, default=None)
+    f3.add_argument("--t-prime", type=int, default=None,
+                    help="odd s only; default n - s")
 
     construct = sub.add_parser("construct", help="explicit colorings")
     csub = construct.add_subparsers(dest="op", required=True)
@@ -192,6 +193,8 @@ def dispatch(args) -> tuple[str, dict]:
     if args.group == "find" and args.op == "even-kst":
         from . import bipartite_even
 
+        if args.t_prime is not None and args.s % 2 == 0:
+            raise _UsageError("--t-prime applies to odd --s only")
         chi = _read_instance(args.input)
         res = bipartite_even.find_even_chromatic_kst(
             chi, args.s, args.t, t_prime=args.t_prime

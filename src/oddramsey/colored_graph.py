@@ -152,6 +152,8 @@ class SimpleGraph:
 
 # Maps the digits of ``bin(row)`` to the 0/1 bytes ``compress`` selects by.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# Maps a color table cell (0 or a color, as one byte) to its binary digit.
+_CELL_DIGITS = b"0" + b"1" * 255
 
 
 def _add_pairs(rows: list[int], pairs: Iterable[tuple[int, int]]) -> None:
@@ -401,7 +403,6 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
         )
     check_instance_size(n)
     table = [[0] * n for _ in range(n)]
-    rows = [0] * n
     for item in raw:
         try:
             u, v, c = item["u"], item["v"], item["c"]
@@ -423,10 +424,12 @@ def instance_from_obj(obj: dict) -> EdgeColoring:
         if not 1 <= c <= r:
             raise PreconditionFailed(f"color {c} outside palette 1..{r}")
         row[v] = table[v][u] = c
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
     if r < 1:
         raise PreconditionFailed("palette size must be at least 1")
+    # Each adjacency row is its table row read as binary digits, last
+    # vertex first, in one C-level pass; colors past a byte fold to 1 first.
+    cells = bytes if r < 256 else lambda row: bytes(map(bool, row))
+    rows = [int(cells(row[::-1]).translate(_CELL_DIGITS), 2) for row in table]
     return EdgeColoring._from_table(SimpleGraph._from_rows(rows), r, table)
 
 

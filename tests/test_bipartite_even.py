@@ -264,13 +264,69 @@ def test_strongly_even_stops_at_its_mask_budget(monkeypatch):
     assert isinstance(find_strongly_even(chi, 4, 1), StronglyEvenWitness)
 
 
-def test_prior_owner_counter_matches_owner_lists():
-    outcomes = set()
-    for chi, sp, tp in _kernel_cases():
+def _rule_coloring(host, r, rule):
+    """Color each host edge uv (u < v) by ``1 + rule(u, v) % r``."""
+    return EdgeColoring(host, r, {e: 1 + rule(*e) % r for e in host.edges()})
+
+
+def _structured_cases():
+    """Colorings far from uniform, where the witness may come late or not
+    at all: block pairs, (u+v) mod r and min(u, v) mod r on complete and
+    sparse hosts, with t' from 2 up to past n + 1."""
+    rng = random.Random(77)
+    for trial in range(48):
+        sp = rng.choice([2, 4])
+        n = rng.randrange(7, {2: 19, 4: 15}[sp])
+        r = rng.randrange(2, 6)
+        blocks = rng.randrange(2, 5)
+        rule = [
+            lambda u, v: (u * blocks // n) * blocks + v * blocks // n,
+            lambda u, v: u + v,
+            lambda u, v: min(u, v),
+        ][trial % 3]
+        if trial % 4 == 3:
+            host = random_min_degree_graph(n, n // 2, trial)
+        else:
+            host = SimpleGraph.complete(n)
+        tp = 2 if trial % 6 == 0 else rng.randrange(3, n + 4)
+        yield _rule_coloring(host, r, rule), sp, tp
+
+
+def test_prior_owner_counter_matches_owner_lists(monkeypatch):
+    probes = []  # one entry per window probe: did it hit?
+    probe = bipartite_even._first_in_every
+
+    def spy(masks, lists):
+        mask = probe(masks, lists)
+        probes.append(mask is not None)
+        return mask
+
+    monkeypatch.setattr(bipartite_even, "_first_in_every", spy)
+    routes = set()
+    for chi, sp, tp in [*_kernel_cases(), *_structured_cases()]:
+        probes.clear()
         got = find_strongly_even(chi, sp, tp)
         assert got == _reference_owner_lists(chi, sp, tp)
-        outcomes.add(type(got))
-    assert outcomes == {StronglyEvenWitness, Miss}
+        n = chi.host.n
+        if tp == 1:
+            continue
+        if tp == 2:
+            routes.add("t'=2")
+        if n < tp:
+            # No vertex reaches position t'-1, so nothing is probed.
+            assert probes == [] and got == Miss("not_found", "strongly-even")
+            routes.add("n<t'-1" if n < tp - 1 else "n=t'-1")
+        elif probes == [True]:
+            assert got.side_b == tuple(range(tp))
+            routes.add("window hit")
+        elif isinstance(got, StronglyEvenWitness):
+            assert probes == [False] and got.side_b[-1] >= tp
+            routes.add("counter hit")
+        else:
+            assert probes == [False]
+            routes.add("certified miss")
+    assert routes >= {"window hit", "counter hit", "certified miss",
+                      "n<t'-1", "t'=2"}
 
 
 def test_prior_owner_counter_edge_parameters():

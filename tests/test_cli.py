@@ -163,6 +163,21 @@ def test_exit_codes(tmp_path, capsys):
     assert "unrecognized arguments: --retry-w" in err
 
 
+def test_even_kst_t_prime_with_even_s_is_a_usage_error(tmp_path, capsys):
+    # Even s searches the strongly-even K_{s,t} directly and has no t'.
+    inst = tmp_path / "k8.json"
+    inst.write_text(instance_to_json(random_coloring(8, 2, 0)))
+    for s, t, t_prime in [("2", "1", "0"), ("4", "2", "3")]:
+        code, out, err = run_cli(capsys, "find", "even-kst", "--input",
+                                 str(inst), "--s", s, "--t", t,
+                                 "--t-prime", t_prime)
+        assert code == USAGE_EXIT and out == ""
+        assert err.startswith("usage error: --t-prime applies to odd --s only")
+    with pytest.raises(SystemExit):
+        main(["find", "even-kst", "--help"])
+    assert "odd s only; default n - s" in capsys.readouterr().out
+
+
 def test_max_n_env_is_ignored(tmp_path, capsys, monkeypatch):
     small, big = tmp_path / "k5.json", tmp_path / "k17.json"
     small.write_text(instance_to_json(random_coloring(5, 2, 0)))
@@ -502,6 +517,37 @@ def test_constructive_stdout_pinned_across_commits(tmp_path, capsys):
                                *find[1:])
         got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == PINNED_CONSTRUCTIVE_SHA256
+
+
+# SHA-256 of find even-kst --s 4 --t 6 on gen random --n N --r R --seed 1,
+# taken while every vertex's masks entered the prior-owner Counter: at
+# n=60, r=4 the witness's owners are vertices 0-5 (the first t' vertices),
+# at n=40, r=6 the last owner is vertex 10.
+PINNED_STRONGLY_EVEN_SHA256 = {
+    "find-even-kst-60-r4": (
+        0,
+        "42aaf9a62a160bda7c1f4bf660242efb555b3bf1d27d9d3e461e18efd7e2dca7",
+    ),
+    "find-even-kst-40-r6": (
+        0,
+        "8afbc5dae4d6bc09743904263d6ac4bf5dcc03ba6f4c8a6da60b028474890b48",
+    ),
+}
+
+
+def test_strongly_even_stdout_pinned_across_commits(tmp_path, capsys):
+    got = {}
+    for n, r in [(60, 4), (40, 6)]:
+        _, text, _ = run_cli(capsys, "gen", "random", "--n", str(n), "--r",
+                             str(r), "--seed", "1")
+        path = tmp_path / f"gen{n}.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "find", "even-kst", "--input", str(path),
+                               "--s", "4", "--t", "6")
+        got[f"find-even-kst-{n}-r{r}"] = (
+            code, hashlib.sha256(out.encode()).hexdigest()
+        )
+    assert got == PINNED_STRONGLY_EVEN_SHA256
 
 
 # SHA-256 of the stdout and the --trace file of find unique-free on the

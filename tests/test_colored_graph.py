@@ -266,6 +266,24 @@ def test_instance_round_trip():
     assert back.color(0, 1) == 2 and back.color(2, 4) == 3
 
 
+def test_parsed_adjacency_matches_a_per_edge_build():
+    # Adjacency rows are read off the finished color table; the reference
+    # sets two bits per edge record.  r = 300 colors past one byte.
+    hosts = [SimpleGraph.complete(n) for n in (1, 2, 9, 40)]
+    hosts += [random_min_degree_graph(n, d, n + d)
+              for n, d in [(12, 1), (30, 4), (41, 20)]]
+    hosts.append(SimpleGraph(7, [(0, 1), (1, 2), (2, 5), (5, 6)]))  # 3, 4 isolated
+    for host in hosts:
+        for r in (1, 5, 300):
+            obj = json.loads(instance_to_json(random_edge_coloring(host, r, r)))
+            reference = SimpleGraph(obj["n"], [(e["u"], e["v"]) for e in obj["edges"]])
+            parsed = instance_from_obj(obj).host
+            assert parsed == reference
+            for v in range(host.n):
+                assert parsed.mask(v) == reference.mask(v) == host.mask(v)
+                assert parsed.neighbors(v) == reference.neighbors(v)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
