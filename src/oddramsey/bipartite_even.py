@@ -8,13 +8,15 @@ cover (every color covered an even number of times) marks a t-set B that
 makes {w_1,w_2,w_3} x B even-chromatic, hence the assembled K_{s,t} too.
 
 The strongly-even search lists every vertex's even s'-neighborhoods as
-int vertex masks, one list per vertex built class by class.  The first
-t'-1 lists are only held: vertex t'-1 probes their intersection, exactly
-the masks with t'-1 earlier owners, and only a miss there starts one
-Counter of earlier owners.  Only the witness mask is decoded, and its
-owners are recovered by a parity test of their stars.  Past
-``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the class sizes before
-each list is built, the search answers "unknown".
+int vertex masks, one list per vertex built class by class.  Vertex t'-1
+is answered from one list: its even s'-neighborhoods inside the common
+neighborhood of 0..t'-1, each vertex weighted with count fields that add
+up the colors every earlier vertex sees at the mask, so a sum whose fields
+are all even is a mask every earlier list holds.  Only a miss there builds
+the first t' lists and starts one Counter of earlier owners.  Only the
+witness mask is decoded, and its owners are recovered by a parity test of
+their stars.  Past ``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the
+class sizes before any list is built, the search answers "unknown".
 
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
@@ -26,9 +28,9 @@ XOR-to-zero search serves both the even covers and that sweep.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from math import comb
-from operator import indexOf
+from operator import indexOf, not_
 from typing import Iterator, NamedTuple
 
 from .colored_graph import EdgeColoring, ParityCensus, parity_census
@@ -76,14 +78,23 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
-def _color_classes(chi: EdgeColoring, u: int, s_prime: int) -> list[list[int]]:
-    """u's color classes in color order, each its neighbors' bits ascending."""
+def _color_classes(
+    chi: EdgeColoring, u: int, s_prime: int, weights: dict[int, int] | None = None
+) -> list[list[int]]:
+    """u's color classes in color order, each its vertices' weights ascending.
+
+    A neighbor v weighs ``1 << v``.  Given ``weights`` (keys: neighbors of u
+    in increasing order), the classes keep only those vertices, each with
+    its weight.
+    """
     if s_prime < 2 or s_prime % 2 == 1:
         raise PreconditionFailed("even neighborhoods need even s' >= 2")
+    if weights is None:
+        weights = {v: 1 << v for v in chi.host.neighbors(u)}
+    row = chi.row(u)
     by_color: dict[int, list[int]] = {}
-    for v in chi.host.neighbors(u):
-        by_color.setdefault(chi.color(u, v), []).append(1 << v)
-    # neighbors() is increasing, so each class lists its bits in vertex order.
+    for v, w in weights.items():
+        by_color.setdefault(row[v], []).append(w)
     return [by_color[c] for c in sorted(by_color)]
 
 
@@ -117,19 +128,22 @@ def _even_mask_count(chi: EdgeColoring, u: int, s_prime: int) -> int:
     return ways[-1]
 
 
-def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
+def _even_masks(
+    chi: EdgeColoring, u: int, s_prime: int, weights: dict[int, int] | None = None
+) -> list[int]:
     """The even s'-neighborhoods of u as vertex bitmasks, in one list.
 
     Every such S splits into even-size blocks inside u's color classes, so
     choosing an even-size subset per class lists each S exactly once.
     Classes come in color order, block sizes ascending and subsets
-    lexicographically; a mask is the sum of ``1 << v`` over the chosen
-    vertices.  The list is built from the last class backwards: ``tails[k]``
-    holds the masks that pick k more vertices from the classes after the
-    current one, and each class extends them by one list comprehension.
+    lexicographically; an entry is the sum of the chosen vertices' weights
+    (``_color_classes``), which for plain ``1 << v`` weights is the mask.
+    The list is built from the last class backwards: ``tails[k]`` holds the
+    sums that pick k more vertices from the classes after the current one,
+    and each class extends them by one list comprehension.
     """
     tails: dict[int, list[int]] = {k: [] for k in range(2, s_prime + 1, 2)}
-    for bits in reversed(_color_classes(chi, u, s_prime)):
+    for bits in reversed(_color_classes(chi, u, s_prime, weights)):
         subsets = {
             k: list(map(sum, combinations(bits, k)))
             for k in range(2, min(len(bits), s_prime) + 1, 2)
@@ -141,7 +155,7 @@ def _even_masks(chi: EdgeColoring, u: int, s_prime: int) -> list[int]:
                 if k == need:
                     out += picks
                 elif k < need:
-                    out += [m | t for m in picks for t in tails[need - k]]
+                    out += [m + t for m in picks for t in tails[need - k]]
             grown[need] = out
         tails = grown
     return tails[s_prime]
@@ -166,8 +180,15 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 # Even s'-neighborhoods find_strongly_even may list in all before it answers
-# "unknown"; the benchmark's K_60 s'=4 inputs list at most about 450,000.
+# "unknown", counted as whole lists even where the window (``_window_hit``)
+# builds fewer; the benchmark's K_60 s'=4 inputs count at most about 450,000.
 STRONGLY_EVEN_MASK_BUDGET = 2_000_000
+
+# Count-field bits one window list may carry above its n vertex bits (past
+# vertex 0's own).  Wider sums cost more per addition than the star censuses
+# they save, so earlier vertices past the bound are checked on the window's
+# survivors instead; 128 to 512 bits time alike on random colorings.
+WINDOW_FIELD_BITS = 256
 
 
 def find_strongly_even(
@@ -177,19 +198,19 @@ def find_strongly_even(
 
     Each vertex takes the first even s'-neighborhood in its list (vertex
     bitmasks from ``_even_masks``) that t'-1 earlier vertices own.  Before
-    vertex t'-1 no mask has that many owners, so vertices 0..t'-2 only hold
-    their lists.  No list repeats a mask, so the masks with t'-1 owners at
-    vertex t'-1 are exactly the intersection of the held lists, and its
-    first mask in that vertex's list is the witness.  If none is, counting
-    starts there: one Counter takes the held lists and vertex t'-1's, then
-    each later vertex probes it and, failing, enters its whole list in one
-    update.  On a hit only that mask is decoded, and its earlier owners are
-    recovered by testing the star of each earlier vertex at it for an
-    all-even census.  The index is exhaustive, so a miss certifies that no
-    witness exists, unless the lists, counted before they are built, would
-    pass ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".
-    With t'=1 the first mask of the first vertex that has one is the
-    witness, and ``_first_even_mask`` finds it without listing the rest.
+    vertex t'-1 no mask has that many owners, and at t'-1 the masks with
+    t'-1 earlier owners are those in every earlier list, since no list
+    repeats a mask; ``_window_hit`` finds the first of them without
+    building the earlier lists.  If none is, counting starts there: one
+    Counter takes the lists of vertices 0..t'-1, then each later vertex
+    probes it and, failing, enters its whole list in one update.  On a hit
+    only that mask is decoded, and its earlier owners are recovered by
+    testing the star of each earlier vertex at it for an all-even census.
+    The index is exhaustive, so a miss certifies that no witness exists,
+    unless the lists, counted before any is built, would pass
+    ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".  With
+    t'=1 the first mask of the first vertex that has one is the witness,
+    and ``_first_even_mask`` finds it without listing the rest.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -207,51 +228,91 @@ def find_strongly_even(
             if mask is not None:
                 return StronglyEvenWitness(_bits(mask), (u,))
         return Miss("not_found", "strongly-even")
-    # Vertices 0..t'-2 cannot hit, so their lists are held, not counted.
-    window: list[list[int]] = []
-    owners: Counter[int] = Counter()
-    listed = 0
-    for u in range(n):
-        listed += _even_mask_count(chi, u, s_prime)
-        if listed > STRONGLY_EVEN_MASK_BUDGET:
-            return Miss("unknown", "strongly-even")
-        masks = _even_masks(chi, u, s_prime)
-        if u < t_prime - 1:
-            window.append(masks)
-            continue
-        if u == t_prime - 1:
-            mask = _first_in_every(masks, window)
-            if mask is None:
-                for held in (*window, masks):
-                    owners.update(held)
-                continue
-        else:
+    listed = sum(_even_mask_count(chi, u, s_prime) for u in range(min(n, t_prime)))
+    if listed > STRONGLY_EVEN_MASK_BUDGET:
+        return Miss("unknown", "strongly-even")
+    if n < t_prime:
+        return Miss("not_found", "strongly-even")
+    u = t_prime - 1
+    mask = _window_hit(chi, s_prime, t_prime)
+    if mask is None:
+        owners: Counter[int] = Counter()
+        for v in range(t_prime):
+            owners.update(_even_masks(chi, v, s_prime))
+        for u in range(t_prime, n):
+            listed += _even_mask_count(chi, u, s_prime)
+            if listed > STRONGLY_EVEN_MASK_BUDGET:
+                return Miss("unknown", "strongly-even")
+            masks = _even_masks(chi, u, s_prime)
             try:
                 at = indexOf(map(owners.get, masks, repeat(0)), t_prime - 1)
             except ValueError:
                 owners.update(masks)
                 continue
             mask = masks[at]
-        side_a = _bits(mask)
-        prior = [
-            v for v in range(u)
-            if chi.host.mask(v) & mask == mask
-            and _bipartite_census(chi, side_a, (v,)).is_even_chromatic()
-        ]
-        if len(prior) != t_prime - 1:
-            raise InternalContradiction("strongly-even index miscounted owners")
-        return StronglyEvenWitness(side_a, (*prior, u))
-    return Miss("not_found", "strongly-even")
+            break
+        else:
+            return Miss("not_found", "strongly-even")
+    side_a = _bits(mask)
+    prior = [v for v in range(u) if _owns(chi, v, mask, side_a)]
+    if len(prior) != t_prime - 1:
+        raise InternalContradiction("strongly-even index miscounted owners")
+    return StronglyEvenWitness(side_a, (*prior, u))
 
 
-def _first_in_every(masks: list[int], lists: list[list[int]]) -> int | None:
-    """The first of ``masks`` that every one of ``lists`` holds, if any.
+def _owns(chi: EdgeColoring, v: int, mask: int, side_a: tuple[int, ...]) -> bool:
+    """Whether ``mask`` (decoded: ``side_a``) is an even s'-neighborhood of v."""
+    return (
+        chi.host.mask(v) & mask == mask
+        and _bipartite_census(chi, side_a, (v,)).is_even_chromatic()
+    )
 
-    No list repeats a mask, so these are exactly the masks with
-    ``len(lists)`` owners among the listed vertices.
+
+def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
+    """The first mask in vertex u = t'-1's list that 0..u-1 all own, if any.
+
+    Such a mask lies in W, the common neighborhood of 0..u, so only u's
+    even s'-neighborhoods inside W are listed.  They keep their relative
+    order from u's whole list: that list is ordered lexicographically by
+    (block size, subset) per color class, and restricting each class to W
+    leaves the block sizes and the order of the subsets of W unchanged.
+    Each v in W weighs ``1 << v`` plus a one in the count field of
+    (i, color(i, v)) for each earlier vertex i; a field is
+    ``s'.bit_length()`` bits wide, so the s' picks of a sum never carry out
+    of it, and summing (not OR-ing) the picks leaves the mask in the low n
+    bits and, in each field, how often i sees that color at the mask.  A sum
+    whose fields are all even is thus a mask every earlier list holds.
+    Vertex 0's fields always go in; later ones only while all fields fit in
+    ``WINDOW_FIELD_BITS`` bits.  The earlier vertices that do not fit are
+    checked by their star census on the survivors, in list order.
     """
-    common = set(lists[0]).intersection(*lists[1:])
-    return next(filter(common.__contains__, masks), None)
+    n, u = chi.host.n, t_prime - 1
+    common = chi.host.mask(u)
+    for i in range(u):
+        common &= chi.host.mask(i)
+    span = _bits(common)
+    weights = {v: 1 << v for v in span}
+    width = s_prime.bit_length()
+    top = odd = fitted = 0
+    for i in range(u):
+        row = chi.row(i)
+        colors = {row[v] for v in span}
+        if fitted and top + width * len(colors) > WINDOW_FIELD_BITS:
+            break
+        field = {c: 1 << (n + top + width * k) for k, c in enumerate(colors)}
+        for v in span:
+            weights[v] += field[row[v]]
+        odd += sum(field.values())
+        top += width * len(colors)
+        fitted = i + 1
+    vertices = (1 << n) - 1
+    sums = _even_masks(chi, u, s_prime, weights)
+    for total in compress(sums, map(not_, map(odd.__and__, sums))):
+        mask = total & vertices
+        side_a = _bits(mask)
+        if all(_owns(chi, i, mask, side_a) for i in range(fitted, u)):
+            return mask
+    return None
 
 
 def build_parity_hypergraph(
@@ -384,7 +445,8 @@ def find_even_chromatic_kst(
     over all s-tuples in the w-role decides existence outright if its
     C(n,s)*C(n-s,t) candidate splits fit ``_EXHAUSTIVE_CAP``.  Even s goes
     through the strongly-even search directly, whose "not_found" certifies
-    only the absence of *strongly*-even copies ("unknown" past its budget).
+    only the absence of *strongly*-even copies ("unknown" past its budget);
+    ``t_prime`` belongs to the odd pipeline and is refused with an even s.
     Every returned bipartition is verified even-chromatic.
     """
     n = chi.host.n
@@ -395,6 +457,8 @@ def find_even_chromatic_kst(
     if s < 2 or t < 1 or s + t > n:
         raise PreconditionFailed("need s >= 2, t >= 1 with s + t <= n")
     if s % 2 == 0:
+        if t_prime is not None:
+            raise PreconditionFailed("t' applies to odd s only")
         wit = find_strongly_even(chi, s, t)
         if isinstance(wit, Miss):
             return wit

@@ -294,14 +294,14 @@ def _structured_cases():
 
 def test_prior_owner_counter_matches_owner_lists(monkeypatch):
     probes = []  # one entry per window probe: did it hit?
-    probe = bipartite_even._first_in_every
+    probe = bipartite_even._window_hit
 
-    def spy(masks, lists):
-        mask = probe(masks, lists)
+    def spy(chi, s_prime, t_prime):
+        mask = probe(chi, s_prime, t_prime)
         probes.append(mask is not None)
         return mask
 
-    monkeypatch.setattr(bipartite_even, "_first_in_every", spy)
+    monkeypatch.setattr(bipartite_even, "_window_hit", spy)
     routes = set()
     for chi, sp, tp in [*_kernel_cases(), *_structured_cases()]:
         probes.clear()
@@ -327,6 +327,65 @@ def test_prior_owner_counter_matches_owner_lists(monkeypatch):
             routes.add("certified miss")
     assert routes >= {"window hit", "counter hit", "certified miss",
                       "n<t'-1", "t'=2"}
+
+
+def test_window_keeps_to_the_common_neighborhood():
+    # Vertex 1's first even pair is {2, 3}, which vertex 0 does not see:
+    # weighing 1's whole neighborhood, 0's (absent) colors there would
+    # count two of a kind and pass.  The window lists inside N(0) & N(1).
+    host = SimpleGraph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (0, 4), (0, 5)])
+    chi = EdgeColoring(host, 1, {e: 1 for e in host.edges()})
+    assert _even_masks(chi, 1, 2)[0] == 1 << 2 | 1 << 3
+    assert bipartite_even._window_hit(chi, 2, 2) == 1 << 4 | 1 << 5
+    want = StronglyEvenWitness((4, 5), (0, 1))
+    assert find_strongly_even(chi, 2, 2) == want == _reference_owner_lists(chi, 2, 2)
+
+
+def test_window_count_fields_hold_s_prime():
+    # At s'=6 vertices 0 and 1 see the witness's six vertices in one color:
+    # a count of 6 needs all three bits of its field, and a carry out of a
+    # two-bit field of vertex 0 would make vertex 1's field odd.
+    chi = mono_coloring(10)
+    window = [1 << v for v in range(3, 9)]
+    assert bipartite_even._window_hit(chi, 6, 3) == sum(window)
+    want = StronglyEvenWitness((3, 4, 5, 6, 7, 8), (0, 1, 2))
+    assert find_strongly_even(chi, 6, 3) == want == _reference_owner_lists(chi, 6, 3)
+
+
+@pytest.mark.parametrize("bits", [0, 12])
+def test_window_survivor_census_matches_owner_lists(monkeypatch, bits):
+    # Past WINDOW_FIELD_BITS the earlier vertices are checked by their star
+    # census on the survivors: at 0 bits all but vertex 0, at 12 bits all
+    # but the first few.
+    calls = [0]
+    owns = bipartite_even._owns
+
+    def counted(*args):
+        calls[0] += 1
+        return owns(*args)
+
+    monkeypatch.setattr(bipartite_even, "_owns", counted)
+    cases = [*_kernel_cases(), *_structured_cases()]
+    for chi, sp, tp in cases:
+        find_strongly_even(chi, sp, tp)
+    unbounded = calls[0]
+    calls[0] = 0
+    monkeypatch.setattr(bipartite_even, "WINDOW_FIELD_BITS", bits)
+    for chi, sp, tp in cases:
+        assert find_strongly_even(chi, sp, tp) == _reference_owner_lists(chi, sp, tp)
+    assert calls[0] > unbounded
+
+
+def test_strongly_even_budget_stops_before_any_list(monkeypatch):
+    # Vertex 0 alone fits the budget, so a budget checked vertex by vertex
+    # would list its 1.2M masks before vertex 1 passes it.
+    chi = random_coloring(120, 4, 1)
+    assert _even_mask_count(chi, 0, 4) <= bipartite_even.STRONGLY_EVEN_MASK_BUDGET
+    built = []
+    monkeypatch.setattr(bipartite_even, "_even_masks",
+                        lambda *args: built.append(args) or [])
+    assert find_strongly_even(chi, 4, 3) == Miss("unknown", "strongly-even")
+    assert built == []
 
 
 def test_prior_owner_counter_edge_parameters():
@@ -576,3 +635,7 @@ def test_kst_preconditions():
         find_even_chromatic_kst(sparse, 2, 2)
     with pytest.raises(PreconditionFailed):
         find_even_chromatic_kst(mono_coloring(20), 5, 6, t_prime=3)
+    # t' belongs to the odd-s pipeline; with an even s it is refused.
+    for t_prime in (0, -7, 5):
+        with pytest.raises(PreconditionFailed):
+            find_even_chromatic_kst(random_coloring(12, 2, 1), 2, 2, t_prime)

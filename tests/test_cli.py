@@ -519,10 +519,12 @@ def test_constructive_stdout_pinned_across_commits(tmp_path, capsys):
     assert got == PINNED_CONSTRUCTIVE_SHA256
 
 
-# SHA-256 of find even-kst --s 4 --t 6 on gen random --n N --r R --seed 1,
-# taken while every vertex's masks entered the prior-owner Counter: at
-# n=60, r=4 the witness's owners are vertices 0-5 (the first t' vertices),
-# at n=40, r=6 the last owner is vertex 10.
+# SHA-256 of find even-kst --s S --t T on gen random --n N --r R --seed 1,
+# taken while every vertex's masks entered the prior-owner Counter (s=4) or
+# while vertices 0..t-2 held their whole lists (s=6): at n=60, r=4 the
+# witness's owners are vertices 0-5 (the first t' vertices), at n=40, r=6
+# the last owner is vertex 10, and both s=6 witnesses are owned by the
+# first t' vertices.
 PINNED_STRONGLY_EVEN_SHA256 = {
     "find-even-kst-60-r4": (
         0,
@@ -532,21 +534,32 @@ PINNED_STRONGLY_EVEN_SHA256 = {
         0,
         "8afbc5dae4d6bc09743904263d6ac4bf5dcc03ba6f4c8a6da60b028474890b48",
     ),
+    "find-even-kst-30-r2-s6-t5": (
+        0,
+        "3b0193c91d2c9d9dd1f0ea99dccb56f2b79e68becd778cffeb42721cdb666b8d",
+    ),
+    "find-even-kst-36-r3-s6-t3": (
+        0,
+        "0474f0d59813beb910a74cfaea9ca251539e4d6d3f2bae65e19b84e797adb6dc",
+    ),
 }
 
 
 def test_strongly_even_stdout_pinned_across_commits(tmp_path, capsys):
     got = {}
-    for n, r in [(60, 4), (40, 6)]:
+    for name, n, r, s, t in [
+        ("find-even-kst-60-r4", 60, 4, 4, 6),
+        ("find-even-kst-40-r6", 40, 6, 4, 6),
+        ("find-even-kst-30-r2-s6-t5", 30, 2, 6, 5),
+        ("find-even-kst-36-r3-s6-t3", 36, 3, 6, 3),
+    ]:
         _, text, _ = run_cli(capsys, "gen", "random", "--n", str(n), "--r",
                              str(r), "--seed", "1")
-        path = tmp_path / f"gen{n}.json"
+        path = tmp_path / f"{name}.json"
         path.write_text(text)
         code, out, _ = run_cli(capsys, "find", "even-kst", "--input", str(path),
-                               "--s", "4", "--t", "6")
-        got[f"find-even-kst-{n}-r{r}"] = (
-            code, hashlib.sha256(out.encode()).hexdigest()
-        )
+                               "--s", str(s), "--t", str(t))
+        got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == PINNED_STRONGLY_EVEN_SHA256
 
 
