@@ -78,6 +78,11 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
+def _check_s_prime(s_prime: int) -> None:
+    if s_prime < 2 or s_prime % 2 == 1:
+        raise PreconditionFailed("even neighborhoods need even s' >= 2")
+
+
 def _color_classes(
     chi: EdgeColoring, u: int, s_prime: int, weights: dict[int, int] | None = None
 ) -> list[list[int]]:
@@ -87,8 +92,7 @@ def _color_classes(
     in increasing order), the classes keep only those vertices, each with
     its weight.
     """
-    if s_prime < 2 or s_prime % 2 == 1:
-        raise PreconditionFailed("even neighborhoods need even s' >= 2")
+    _check_s_prime(s_prime)
     if weights is None:
         weights = {v: 1 << v for v in chi.host.neighbors(u)}
     row = chi.row(u)
@@ -120,10 +124,14 @@ def _first_even_mask(chi: EdgeColoring, u: int, s_prime: int) -> int | None:
 
 
 def _even_mask_count(chi: EdgeColoring, u: int, s_prime: int) -> int:
-    """``len(_even_masks(chi, u, s_prime))``, from u's class sizes alone."""
+    """``len(_even_masks(chi, u, s_prime))``, from u's class sizes alone:
+    the counts of the colors in u's row (0 marks a non-edge), of which only
+    those of two or more change the count."""
+    _check_s_prime(s_prime)
+    sizes = [k for c, k in Counter(chi.row(u)).items() if c and k > 1]
     ways = [1] + [0] * (s_prime // 2)  # ways[h]: even-block picks of 2h
-    for bits in _color_classes(chi, u, s_prime):
-        ways = [sum(ways[h - i] * comb(len(bits), 2 * i) for i in range(h + 1))
+    for size in sizes:
+        ways = [sum(ways[h - i] * comb(size, 2 * i) for i in range(h + 1))
                 for h in range(len(ways))]
     return ways[-1]
 

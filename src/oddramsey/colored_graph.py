@@ -258,9 +258,19 @@ class EdgeColoring:
 
     def color_rows(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks of color ``c``: bit ``v`` of row
-        ``u`` is set iff ``uv`` is a host edge of color ``c``."""
+        ``u`` is set iff ``uv`` is a host edge of color ``c``.
+
+        Each is its table row read as binary digits, last vertex first, in
+        one C-level pass, as ``instance_from_obj`` reads adjacency rows;
+        when colors pass a byte, ``bytes`` cannot hold the cells and each
+        row is summed bit by bit."""
         if not 1 <= c <= self.r:
             raise PreconditionFailed(f"color {c} outside palette 1..{self.r}")
+        if self.r < 256:
+            digits = b"0" * c + b"1" + b"0" * (255 - c)
+            return tuple(
+                int(bytes(row[::-1]).translate(digits), 2) for row in self._table
+            )
         return tuple(
             sum(1 << v for v, x in enumerate(row) if x == c) for row in self._table
         )

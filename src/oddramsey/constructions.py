@@ -16,9 +16,17 @@ prune, are tested in batches of leaves (see :func:`exact_ramsey`).
 
 :func:`verify_every_cycle` checks one coloring without listing its
 Hamilton cycles: a Held–Karp table over (visited set, endpoint) holds the
-color states the paths from vertex 0 can reach, and a walk over the table
-recovers the first failing cycle of the canonical enumeration order.  Past
-its state budget, its one work limit, it raises CapExceeded.
+color states the paths from vertex 0 can reach, and one walk over the
+table recovers the first failing cycle of the canonical enumeration order.
+The table has two layouts.  has-unique-color keeps a set of saturating
+per-color counts in each cell, and its budget counts those states.  The
+parity predicates keep one flat array of 2^(n-1) endpoint bitmasks per
+parity vector of the colors present but one (the cycle's length fixes the
+last), and their budget counts arrays times masks before any is allocated:
+a 2-colored K_16 takes 2 x 32,768 = 65,536 cells.  Past the budget, its
+one work limit, it raises CapExceeded, so a parity check with k colors
+present on n vertices is capped once 2^(k-1) * 2^(n-1) passes 1,000,000
+(k >= 6 at n = 16, k >= 10 at n = 12) whatever states its paths reach.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .colored_graph import (
     cycle_census,
 )
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
-from .hamilton import enumerate_hamilton_cycles
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,45 +84,73 @@ _PREDICATES = {
 }
 
 
-# Color states the verification table may hold, summed over its cells.
-# The largest table the test suite builds, unique-upper n=12 under
-# has-unique-color, holds about 372,000.
+# Cells the verification table may hold: color states summed over the
+# cells of the has-unique-color table, endpoint bitmasks (one per parity
+# vector and visited set) for the parity predicates.  The largest table
+# the test suite builds, unique-upper n=12 under has-unique-color, holds
+# about 372,000 states.
 TABLE_STATE_BUDGET = 1_000_000
-# Largest host the table is built for: a 2-colored K_16 holds at most
-# 491,520 states; larger hosts can take many seconds to reach the budget.
+# Largest host either table is built for: a 2-colored K_16 parity table
+# holds 65,536 endpoint bitmasks, while a has-unique-color table on a
+# larger host can take many seconds to reach the budget.
 TABLE_MAX_N = 16
 
 
-def _state_rules(predicate: str, r: int):
-    """``(unit, extend, combine, violates)`` for the predicate's color states.
+def _over_budget() -> CapExceeded:
+    return CapExceeded(
+        f"cycle verification table passed {TABLE_STATE_BUDGET} color states"
+    )
 
-    ``unit(c)`` is the state of one edge of color c, ``extend(states, e)``
-    adds such an edge to each state of a set, ``combine`` joins the states
-    of two edge-disjoint paths, and ``violates`` tests a whole cycle.  The
-    parity predicates keep one bit per color, set when the color is seen
-    an odd number of times.  has-unique-color keeps a two-bit count per
-    color that saturates at 2, so the "seen once" bits sit at the even
-    positions.
+
+def _unique_rules(present: list[int]):
+    """``(code, extend, combine, violates)`` for has-unique-color's states.
+
+    A state keeps a two-bit count per color present that saturates at 2,
+    so the "seen once" bits sit at the even positions.  ``code`` maps a
+    color to the state of one edge of it, ``extend(states, e)`` adds such
+    an edge to each state of a set, ``combine`` joins the states of two
+    edge-disjoint paths, and ``violates`` tests a whole cycle.
     """
-    if predicate != "has-unique-color":
-        return (
-            lambda c: 1 << (c - 1),
-            lambda states, e: {s ^ e for s in states},
-            int.__xor__,
-            (lambda x: x == 0) if predicate == "odd-chromatic" else bool,
-        )
-    once = (4**r - 1) // 3
+    once = (4 ** len(present) - 1) // 3
 
     def combine(a: int, b: int) -> int:
         many = (a | b) >> 1 & once | a & b & once
         return many << 1 | (a | b) & once & ~many
 
     return (
-        lambda c: 1 << 2 * (c - 1),
+        {c: 1 << 2 * i for i, c in enumerate(present)},
         lambda states, e: {s if s & e << 1 else s + e for s in states},
         combine,
         lambda x: not x & once,
     )
+
+
+def _parity_rules(present: list[int], predicate: str, n: int):
+    """``(flips, violates)`` for the parity predicates' states.
+
+    A state is the parity vector of the colors present but the last, one
+    bit each: ``flips`` maps a color to the bit an edge of it flips, 0 for
+    the last color.  A Hamilton cycle has n edges, so its last color's
+    count is even iff the tracked counts sum to n's parity, and every
+    count is even iff the state is 0 and n is even.  Absent colors always
+    count 0.
+    """
+    flips = {c: 1 << i for i, c in enumerate(present[:-1])}
+    flips.update({c: 0 for c in present[-1:]})
+
+    def every_even(x: int) -> bool:
+        return x == 0 and n % 2 == 0
+
+    if predicate == "odd-chromatic":
+        return flips, every_even
+    return flips, lambda x: not every_even(x)
+
+
+def _units(chi: EdgeColoring, code: dict[int, int]) -> list[list[int]]:
+    """``units[v][w]``: the state of edge vw (``code`` of its color), 0 off
+    the host."""
+    code = {0: 0, **code}
+    return [[code[c] for c in chi.row(v)] for v in range(chi.host.n)]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -147,10 +182,7 @@ def _path_state_table(units: list[list[int]], rows: list[int], extend):
                     out |= extend(states, units[v][w])
                     stored += len(out) - before
                     if stored > TABLE_STATE_BUDGET:
-                        raise CapExceeded(
-                            f"cycle verification table passed "
-                            f"{TABLE_STATE_BUDGET} color states"
-                        )
+                        raise _over_budget()
         layer = {
             mask: {w: shared.setdefault(fs := frozenset(out), fs)
                    for w, out in cells.items()}
@@ -160,25 +192,73 @@ def _path_state_table(units: list[list[int]], rows: list[int], extend):
     return table
 
 
-def _first_violating_cycle(table, units, rows, combine, violates):
+def _parity_tables(chi: EdgeColoring, flips: dict[int, int]) -> list[list[int]]:
+    """Flat Held–Karp tables for the parity predicates; CapExceeded past budget.
+
+    A path's state is its parity vector over the colors present but one:
+    ``flips`` maps each color present to the state bit it flips, 0 for the
+    untracked one, whose parity the path's length fixes.  ``tables[s]``
+    holds 2^(n-1) endpoint bitmasks, indexed by ``mask >> 1``: bit w of
+    ``tables[s][mask >> 1]`` is set iff some path from vertex 0 visiting
+    exactly ``mask`` ends at w with state s.  Arrays times masks is
+    checked against the budget before any is allocated.  Masks are filled
+    in increasing order, each pulled over its last vertex w: a path ends
+    at w in state s iff, for some color c, a path through ``mask`` less w
+    ends in state ``s ^ flips[c]`` at a c-neighbor of w, which is one AND
+    of that entry with w's row of color c.
+    """
+    n = chi.host.n
+    size = 1 << n - 1
+    count = 1 << max(len(flips) - 1, 0)
+    if count * size > TABLE_STATE_BUDGET:
+        raise _over_budget()
+    tables = [[0] * size for _ in range(count)]
+    tables[0][0] = 1  # the path (0,)
+    pulls = [(f, chi.color_rows(c)) for c, f in flips.items()]
+    sources = [
+        [[(tables[s ^ f], rows[w]) for f, rows in pulls if rows[w]]
+         for w in range(n)]
+        for s in range(count)
+    ]
+    for m in range(1, size):
+        steps = []  # (endpoint bit, index without it, endpoint) per w in mask
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            steps.append((low << 1, m ^ low, low.bit_length()))
+        for out, by_end in zip(tables, sources):
+            ends = 0
+            for bit, before, w in steps:
+                for table, row in by_end[w]:
+                    if table[before] & row:
+                        ends |= bit
+                        break
+            out[m] = ends
+    return tables
+
+
+def _first_violating_cycle(states, units, rows, combine, violates):
     """The lexicographically first violating closed Hamilton path from 0.
 
-    Each step takes the smallest unvisited neighbour w whose completion can
-    still violate: some path from 0 to w through the unvisited vertices
-    (that path reversed closes the cycle) combines with the prefix into a
-    violating state.  The first such path is canonical, since its reversal
-    would violate too and be smaller, so it is the first failing cycle of
-    the canonical enumeration.  None when no cycle violates.
+    ``states(mask, w)`` lists the states of the paths from 0 to w that
+    visit exactly ``mask``, read off either table layout.  Each step takes
+    the smallest unvisited neighbour w whose completion can still violate:
+    some path from 0 to w through the unvisited vertices (that path
+    reversed closes the cycle) combines with the prefix into a violating
+    state.  The first such path is canonical, since its reversal would
+    violate too and be smaller, so it is the first failing cycle of the
+    canonical enumeration.  None when no cycle violates.
     """
     n = len(rows)
     full = (1 << n) - 1
     path, mask, state = [0], 1, 0
     while len(path) < n:
         u = path[-1]
-        cells = table.get(full ^ mask | 1, {})
+        rest = full ^ mask | 1
         for w in _bits(rows[u] & ~mask):
             step = combine(state, units[u][w])
-            if any(violates(combine(step, t)) for t in cells.get(w, ())):
+            if any(violates(combine(step, t)) for t in states(rest, w)):
                 break
         else:
             if u == 0:
@@ -197,12 +277,15 @@ def verify_every_cycle(
 
     Returns (True, None) or (False, first failing cycle in canonical
     enumeration order).  No cycle is listed: a Held–Karp table carries the
-    color states of the paths from vertex 0 (see ``_state_rules``), the
-    predicate fails iff some closed path reaches a violating state, and a
-    greedy walk over the table recovers the first failing cycle, which is
-    re-checked by its census.  A table that would hold more than
-    ``TABLE_STATE_BUDGET`` states raises CapExceeded, and so does a host
-    above ``TABLE_MAX_N`` vertices; no cycle is enumerated either way.
+    color states of the paths from vertex 0, the predicate fails iff some
+    closed path reaches a violating state, and one greedy walk over the
+    table recovers the first failing cycle, which is re-checked by its
+    census.  has-unique-color keeps a set of saturating counts per cell
+    (``_path_state_table``); the parity predicates keep flat endpoint
+    bitmasks per parity vector (``_parity_tables``).  A table that would
+    hold more than ``TABLE_STATE_BUDGET`` cells raises CapExceeded, and so
+    does a host above ``TABLE_MAX_N`` vertices; no cycle is enumerated
+    either way.
     """
     try:
         pred = _PREDICATES[predicate]
@@ -217,14 +300,25 @@ def verify_every_cycle(
         )
     if n < 3:
         return True, None
-    unit, extend, combine, violates = _state_rules(predicate, chi.r)
+    present = sorted(chi.colors_present())
     rows = [chi.host.mask(v) for v in range(n)]
-    units = [
-        [unit(chi.color(v, w)) if rows[v] >> w & 1 else 0 for w in range(n)]
-        for v in range(n)
-    ]
-    table = _path_state_table(units, rows, extend)
-    cyc = _first_violating_cycle(table, units, rows, combine, violates)
+    if predicate == "has-unique-color":
+        code, extend, combine, violates = _unique_rules(present)
+        units = _units(chi, code)
+        table = _path_state_table(units, rows, extend)
+
+        def states(mask: int, w: int):
+            return table.get(mask, {}).get(w, ())
+
+    else:
+        code, violates = _parity_rules(present, predicate, n)
+        tables = _parity_tables(chi, code)
+        units, combine = _units(chi, code), int.__xor__
+
+        def states(mask: int, w: int):
+            return [s for s, t in enumerate(tables) if t[mask >> 1] >> w & 1]
+
+    cyc = _first_violating_cycle(states, units, rows, combine, violates)
     if cyc is None:
         return True, None
     if pred(cycle_census(chi, cyc)):
@@ -269,6 +363,9 @@ def _cycle_lanes(host: SimpleGraph, width: int) -> tuple[list[int], list[int]]:
     carry most search nodes.  Each mask is filled in a bytearray and
     converted once, in time linear in the total length of the cycles.
     """
+    # Imported here, its one use, so that no other command loads hamilton.
+    from .hamilton import enumerate_hamilton_cycles
+
     index = [[0] * host.n for _ in range(host.n)]
     for j, (u, v) in enumerate(host.edges()):
         index[u][v] = index[v][u] = j

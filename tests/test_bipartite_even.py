@@ -401,6 +401,8 @@ def test_prior_owner_counter_edge_parameters():
             find_strongly_even(chi, sp, 1)
         with pytest.raises(PreconditionFailed):
             _even_masks(chi, 0, sp)
+        with pytest.raises(PreconditionFailed):
+            _even_mask_count(chi, 0, sp)
     with pytest.raises(PreconditionFailed):
         find_strongly_even(chi, 2, 0)
 
@@ -409,6 +411,13 @@ def test_first_even_mask_is_the_head_of_the_list():
     sparse = [
         (random_edge_coloring(random_min_degree_graph(12, d, d), r, 7), sp)
         for d in (1, 2, 3) for r in (2, 4) for sp in (2, 4, 6)
+    ]
+    # tiny complete hosts, isolated vertices, one color and many colors
+    small = [SimpleGraph.complete(n) for n in (1, 2, 7)]
+    small.append(SimpleGraph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]))
+    sparse += [
+        (random_edge_coloring(g, r, 70 + i), sp)
+        for i, g in enumerate(small) for r in (1, 3, 9) for sp in (2, 4, 6)
     ]
     nones = 0
     for chi, sp in [(chi, sp) for chi, sp, _ in _kernel_cases()] + sparse:

@@ -141,6 +141,27 @@ def test_color_rows_agree_with_color():
                     chi.color_rows(c)
 
 
+def test_color_rows_match_the_per_cell_sum():
+    # The byte-translated rows against the generator they replaced, on
+    # complete, sparse and isolated-vertex hosts, below and past r = 256.
+    rng = random.Random(11)
+    hosts = [SimpleGraph.complete(n) for n in (1, 2, 9, 40)]
+    hosts += [random_min_degree_graph(n, d, n + d) for n in (12, 30) for d in (1, 4)]
+    hosts.append(SimpleGraph(7, [(1, 2), (2, 5), (1, 5)]))
+    reached = set()
+    for host in hosts:
+        for r in (1, 2, 5, 255, 256, 300):
+            chi = EdgeColoring(host, r, {e: rng.randint(1, r) for e in host.edges()})
+            for c in {1, r, *rng.sample(range(1, r + 1), min(r, 4))}:
+                want = tuple(
+                    sum(1 << v for v, x in enumerate(chi.row(u)) if x == c)
+                    for u in range(host.n)
+                )
+                assert chi.color_rows(c) == want, (host, r, c)
+                reached.add((r >= 256, any(want)))
+    assert reached == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_census_paired_colors_even():
     chi = coloring_with(4, 2, {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2})
     cycle = CycleOrPath((0, 1, 2, 3), closed=True)

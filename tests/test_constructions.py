@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from oddramsey import constructions
+from oddramsey import constructions, hamilton
 from oddramsey.colored_graph import (
     CycleOrPath,
     EdgeColoring,
@@ -127,7 +127,7 @@ def _counting_enumeration(listed):
 
 def test_verify_over_budget_raises_without_listing_cycles(monkeypatch):
     listed = []
-    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles",
+    monkeypatch.setattr(hamilton, "enumerate_hamilton_cycles",
                         _counting_enumeration(listed))
     cases = [
         (chi, p) for chi in _small_instances(12) if chi.host.n >= 6
@@ -147,7 +147,7 @@ def test_verify_stops_at_the_real_state_budget(monkeypatch):
     # Under has-unique-color every color set of a rainbow K_12 path is its
     # own state; the old fallback then faced 19,958,400 cycles.
     listed = []
-    monkeypatch.setattr(constructions, "enumerate_hamilton_cycles",
+    monkeypatch.setattr(hamilton, "enumerate_hamilton_cycles",
                         _counting_enumeration(listed))
     host = SimpleGraph.complete(12)
     rainbow = EdgeColoring(host, 66, {e: i + 1 for i, e in enumerate(host.edges())})
@@ -181,6 +181,135 @@ def test_verify_edges_of_the_range(monkeypatch):
     for chi in (single, mono_coloring(2)):
         for predicate in _REFERENCE_PREDICATES:
             assert verify_every_cycle(chi, predicate) == (True, None)
+
+
+def _reference_table_verify(chi, predicate):
+    """verify_every_cycle as it was before the parity predicates moved to
+    flat tables: one frozenset of color states per (mask, endpoint) cell for
+    every predicate, colors coded by their own index, the same walk."""
+    n, r = chi.host.n, chi.r
+    if n < 3:
+        return True, None
+    if predicate == "has-unique-color":
+        once = (4**r - 1) // 3
+
+        def combine(a, b):
+            many = (a | b) >> 1 & once | a & b & once
+            return many << 1 | (a | b) & once & ~many
+
+        unit = lambda c: 1 << 2 * (c - 1)
+        extend = lambda states, e: {s if s & e << 1 else s + e for s in states}
+        violates = lambda x: not x & once
+    else:
+        unit, combine = (lambda c: 1 << (c - 1)), int.__xor__
+        extend = lambda states, e: {s ^ e for s in states}
+        violates = (lambda x: x == 0) if predicate == "odd-chromatic" else bool
+    rows = [chi.host.mask(v) for v in range(n)]
+    units = [[unit(chi.color(v, w)) if rows[v] >> w & 1 else 0 for w in range(n)]
+             for v in range(n)]
+    layer = {1: {0: frozenset((0,))}}
+    table = dict(layer)
+    for _ in range(n - 1):
+        grown = {}
+        for mask, cells in layer.items():
+            for v, states in cells.items():
+                for w in range(n):
+                    if rows[v] >> w & 1 and not mask >> w & 1:
+                        out = grown.setdefault(mask | 1 << w, {}).setdefault(w, set())
+                        out |= extend(states, units[v][w])
+        layer = {m: {w: frozenset(o) for w, o in cells.items()}
+                 for m, cells in grown.items()}
+        table.update(layer)
+    full = (1 << n) - 1
+    path, mask, state = [0], 1, 0
+    while len(path) < n:
+        u = path[-1]
+        cells = table.get(full ^ mask | 1, {})
+        for w in range(n):
+            if not rows[u] >> w & 1 or mask >> w & 1:
+                continue
+            step = combine(state, units[u][w])
+            if any(violates(combine(step, t)) for t in cells.get(w, ())):
+                break
+        else:
+            assert u == 0
+            return True, None
+        path.append(w)
+        mask |= 1 << w
+        state = step
+    return False, CycleOrPath(tuple(path), closed=True)
+
+
+def _structured_colorings():
+    """Block-pair, sum, min and mono colorings of complete and sparse hosts,
+    n <= 10 and r <= 4, some declaring more colors than they use."""
+    for n in range(3, 11):
+        hosts = [SimpleGraph.complete(n), random_min_degree_graph(n, n // 2, 90 + n)]
+        for host, r in product(hosts, (1, 2, 3, 4)):
+            half = n // 2
+            rules = [
+                lambda u, v: 1 + ((u < half) + (v < half)) % r,
+                lambda u, v: 1 + (u + v) % r,
+                lambda u, v: 1 + min(u, v) % r,
+                lambda u, v: r,  # mono in the last color
+                lambda u, v: 1 + (u * v) % max(r - 1, 1),  # color r unused
+            ]
+            for rule in rules:
+                yield EdgeColoring(host, r, {e: rule(*e) for e in host.edges()})
+
+
+def test_flat_parity_tables_match_the_per_cell_sets():
+    # Same verdict and the same first failing cycle as the frozenset
+    # table, on seeded random and structured colorings, every predicate.
+    rng = random.Random(23)
+    random_cases = []
+    for i in range(160):
+        n = rng.randint(3, 9)
+        host = random_min_degree_graph(n, rng.randint(n // 2, n - 1), 500 + i)
+        r = rng.randint(1, 4)
+        # a declared palette above the colors drawn, now and then
+        random_cases.append(random_edge_coloring(host, r, 600 + i))
+        if i % 4 == 0:
+            random_cases.append(EdgeColoring(host, r + 2, dict(
+                ((u, v), c) for (u, v), c in random_cases[-1].items())))
+    cases = [*random_cases, *_structured_colorings()]
+    seen = set()
+    for chi in cases:
+        present = len(chi.colors_present())
+        for predicate in _REFERENCE_PREDICATES:
+            got = verify_every_cycle(chi, predicate)
+            assert got == _reference_table_verify(chi, predicate), (chi, predicate)
+            seen.add((predicate, got[0], present < chi.r, present))
+    for predicate in ("odd-chromatic", "even-chromatic"):
+        for holds in (True, False):
+            assert {(p, h) for p, h, _, _ in seen} >= {(predicate, holds)}
+        # mono (one color present) and colors declared but absent both ran
+        assert any(p == predicate and k == 1 for p, _, _, k in seen)
+        assert any(p == predicate and unused for p, _, unused, _ in seen)
+    assert len(cases) == 520
+
+
+def test_parity_budget_counts_arrays_times_masks(monkeypatch):
+    # 3 colors present (of 4 declared): 2^2 arrays of 2^7 masks on K_8.
+    chi = EdgeColoring(
+        SimpleGraph.complete(8), 4,
+        {e: 1 + (e.u + e.v) % 3 for e in SimpleGraph.complete(8).edges()},
+    )
+    want = {p: verify_every_cycle(chi, p) for p in ("odd-chromatic", "even-chromatic")}
+    monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 4 * 128)
+    for predicate, result in want.items():
+        assert verify_every_cycle(chi, predicate) == result
+    monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 4 * 128 - 1)
+    # nothing is read or allocated past the budget
+    monkeypatch.setattr(EdgeColoring, "color_rows", None)
+    for predicate in want:
+        with pytest.raises(CapExceeded, match=r"^cycle verification table "
+                                              r"passed 511 color states$"):
+            verify_every_cycle(chi, predicate)
+    # one color present: a single array
+    monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 127)
+    with pytest.raises(CapExceeded, match="passed 127 color states"):
+        verify_every_cycle(mono_coloring(8, r=3), "odd-chromatic")
 
 
 def test_upper_coloring_n12_verified_by_table():
@@ -327,7 +456,7 @@ def test_exact_ramsey_batches_match_the_count_loop_on_cycle_subsets(monkeypatch)
         picks += [rng.sample(every, rng.randint(1, 8)) for _ in range(30)]
         for cycles in picks:
             monkeypatch.setattr(
-                constructions, "enumerate_hamilton_cycles", lambda g: iter(cycles)
+                hamilton, "enumerate_hamilton_cycles", lambda g: iter(cycles)
             )
             for mode in ("odd", "unique")[n % 2 :]:
                 for r in (2, 3):

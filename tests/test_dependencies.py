@@ -63,3 +63,43 @@ def test_no_module_pulls_in_dataclasses_or_inspect():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _loads_hamilton(argv: list[str]) -> bool:
+    """Run one CLI command in a fresh -S child; whether it imported hamilton."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from oddramsey import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, 'oddramsey.hamilton' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    status, loaded = out.stdout.split()
+    assert status == "0", (argv, out.stdout)
+    return loaded == "True"
+
+
+def test_verify_and_generators_do_not_load_hamilton(tmp_path):
+    # verify cycles walks its own table, and the generators build colorings
+    # only: none of them may pay for compiling and importing hamilton.
+    from oddramsey.colored_graph import instance_to_json
+    from oddramsey.constructions import random_coloring
+
+    inst = tmp_path / "k9.json"
+    inst.write_text(instance_to_json(random_coloring(9, 2, 1)), encoding="utf-8")
+    commands = [
+        ["gen", "random", "--n", "9", "--r", "2", "--seed", "1"],
+        ["construct", "unique-upper", "--n", "10"],
+    ] + [
+        ["verify", "cycles", "--input", str(inst), "--predicate", predicate]
+        for predicate in ("odd-chromatic", "even-chromatic", "has-unique-color")
+    ]
+    for argv in commands:
+        assert not _loads_hamilton(argv), argv
+    # the exact oracle lists Hamilton cycles, so it still imports it
+    assert _loads_hamilton(["oracle", "exact", "--n", "5", "--mode", "unique", "--r", "2"])
