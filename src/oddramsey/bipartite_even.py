@@ -33,7 +33,7 @@ from math import comb
 from operator import indexOf, not_
 from typing import Iterator, NamedTuple
 
-from .colored_graph import EdgeColoring, ParityCensus, parity_census
+from .colored_graph import EdgeColoring, ParityCensus, _bits, parity_census
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
 
 
@@ -182,11 +182,6 @@ def even_neighborhoods(
     return (frozenset(_bits(m)) for m in _even_masks(chi, u, s_prime))
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """Set bit positions of ``mask`` in increasing order."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 # Even s'-neighborhoods find_strongly_even may list in all before it answers
 # "unknown", counted as whole lists even where the window (``_window_hit``)
 # builds fewer; the benchmark's K_60 s'=4 inputs count at most about 450,000.
@@ -234,7 +229,7 @@ def find_strongly_even(
         for u in range(n):
             mask = _first_even_mask(chi, u, s_prime)
             if mask is not None:
-                return StronglyEvenWitness(_bits(mask), (u,))
+                return StronglyEvenWitness(tuple(_bits(mask)), (u,))
         return Miss("not_found", "strongly-even")
     listed = sum(_even_mask_count(chi, u, s_prime) for u in range(min(n, t_prime)))
     if listed > STRONGLY_EVEN_MASK_BUDGET:
@@ -261,7 +256,7 @@ def find_strongly_even(
             break
         else:
             return Miss("not_found", "strongly-even")
-    side_a = _bits(mask)
+    side_a = tuple(_bits(mask))
     prior = [v for v in range(u) if _owns(chi, v, mask, side_a)]
     if len(prior) != t_prime - 1:
         raise InternalContradiction("strongly-even index miscounted owners")
@@ -298,7 +293,7 @@ def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
     common = chi.host.mask(u)
     for i in range(u):
         common &= chi.host.mask(i)
-    span = _bits(common)
+    span = tuple(_bits(common))
     weights = {v: 1 << v for v in span}
     width = s_prime.bit_length()
     top = odd = fitted = 0
@@ -317,7 +312,7 @@ def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
     sums = _even_masks(chi, u, s_prime, weights)
     for total in compress(sums, map(not_, map(odd.__and__, sums))):
         mask = total & vertices
-        side_a = _bits(mask)
+        side_a = tuple(_bits(mask))
         if all(_owns(chi, i, mask, side_a) for i in range(fitted, u)):
             return mask
     return None

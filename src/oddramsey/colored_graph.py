@@ -1,10 +1,12 @@
 """Core value types: graphs, edge colorings, parity censuses, cycles/paths.
 
 Vertices are dense integers ``0..n-1`` and colors are integers ``1..r``,
-which keeps adjacency rows as plain bitmask ints, a coloring as one n x n
-table of colors (0 off the host), and censuses as small dicts.  All types
-are immutable values after construction; every operation is a pure
-function, so instances can be shared freely across threads.
+which keeps a graph as its adjacency rows alone (plain bitmask ints: a
+degree is a row's popcount, and a neighbor tuple is built from a row only
+when a caller lists it), a coloring as one n x n table of colors (0 off the
+host), and censuses as small dicts.  All types are immutable values after
+construction; every operation is a pure function, so instances can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -37,15 +39,17 @@ def edge(u: int, v: int) -> Edge:
 class SimpleGraph:
     """Undirected simple graph on vertices ``0..n-1`` with O(1) adjacency.
 
-    The graph is stored as adjacency rows: bit ``v`` of row ``u`` is set
-    iff ``uv`` is an edge.  The derived graphs (``with_edges``,
-    ``without_edge``, ``induced``, ``add_vertex_with_neighbors``) are built
-    straight from rows; only the pairs they add are validated.
+    The adjacency rows are the only stored form: bit ``v`` of row ``u`` is
+    set iff ``uv`` is an edge.  A degree is its row's popcount, and
+    ``neighbors`` builds its tuple from the row only when called.  The
+    derived graphs (``with_edges``, ``without_edge``, ``induced``,
+    ``add_vertex_with_neighbors``) are built straight from rows; only the
+    pairs they add are validated.
 
     Instances are immutable; "mutators" return new graphs.
     """
 
-    __slots__ = ("n", "_rows", "_nbrs")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         rows = [0] * n
@@ -59,18 +63,10 @@ class SimpleGraph:
         return g
 
     def _set_rows(self, rows: list[int]) -> None:
-        n = len(rows)
-        if n < 1:
+        if not rows:
             raise PreconditionFailed("graph needs at least one vertex")
-        self.n = n
+        self.n = len(rows)
         self._rows = tuple(rows)
-        # Neighbor lists from the reversed binary digits of each row: a
-        # C-level pass that beats a per-bit Python loop on dense rows.
-        span = range(n)
-        self._nbrs = tuple(
-            tuple(compress(span, bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
-            for row in rows
-        )
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
@@ -82,29 +78,33 @@ class SimpleGraph:
         return bool(self._rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        """The neighbors of ``v`` ascending, selected by the reversed binary
+        digits of its row: a C-level pass that beats a per-bit Python loop
+        on dense rows."""
+        digits = bin(self._rows[v])[:1:-1].encode().translate(_BIT_BYTES)
+        return tuple(compress(range(self.n), digits))
 
     def mask(self, v: int) -> int:
         """Adjacency row of ``v`` as a bitmask int."""
         return self._rows[v]
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self._rows[v].bit_count()
 
     def edges(self) -> Iterator[Edge]:
         for u in range(self.n):
-            for v in self._nbrs[u]:
+            for v in self.neighbors(u):
                 if u < v:
                     yield Edge(u, v)
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._nbrs) // 2
+        return sum(map(int.bit_count, self._rows)) // 2
 
     def has_edge(self, e: Edge) -> bool:
         return self.adjacent(e.u, e.v)
 
     def is_complete(self) -> bool:
-        return all(len(nb) == self.n - 1 for nb in self._nbrs)
+        return all(row.bit_count() == self.n - 1 for row in self._rows)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "SimpleGraph":
         """Test reference: ``test_closure_trace_replay_on_random_graphs``
@@ -122,15 +122,9 @@ class SimpleGraph:
     def induced(self, keep: Iterable[int]) -> tuple["SimpleGraph", list[int]]:
         """Induced subgraph on ``keep`` plus the new->old vertex id map."""
         old = sorted(set(keep))
-        pos = {o: i for i, o in enumerate(old)}
-        rows = []
-        for a in old:
-            row = 0
-            for b in self._nbrs[a]:
-                i = pos.get(b)
-                if i is not None:
-                    row |= 1 << i
-            rows.append(row)
+        pos = {o: 1 << i for i, o in enumerate(old)}
+        kept = sum(1 << o for o in old)
+        rows = [sum(pos[b] for b in _bits(self._rows[a] & kept)) for a in old]
         return SimpleGraph._from_rows(rows), old
 
     def add_vertex_with_neighbors(self, nbrs: Iterable[int]) -> "SimpleGraph":
@@ -168,8 +162,16 @@ def _add_pairs(rows: list[int], pairs: Iterable[tuple[int, int]]) -> None:
         rows[e.v] |= 1 << e.u
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def min_degree(g: SimpleGraph) -> int:
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g._rows))
 
 
 class ParityCensus(NamedTuple):

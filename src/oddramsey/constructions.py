@@ -26,17 +26,20 @@ last), and their budget counts arrays times masks before any is allocated:
 a 2-colored K_16 takes 2 x 32,768 = 65,536 cells.  Past the budget, its
 one work limit, it raises CapExceeded, so a parity check with k colors
 present on n vertices is capped once 2^(k-1) * 2^(n-1) passes 1,000,000
-(k >= 6 at n = 16, k >= 10 at n = 12) whatever states its paths reach.
+(k >= 6 at n = 16, k >= 10 at n = 12) whatever states its paths reach;
+odd-chromatic on an odd n needs no table, since every Hamilton cycle has
+odd length and so some color an odd number of times.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .colored_graph import (
     CycleOrPath,
     EdgeColoring,
     SimpleGraph,
+    _bits,
     cycle_census,
 )
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
@@ -151,14 +154,6 @@ def _units(chi: EdgeColoring, code: dict[int, int]) -> list[list[int]]:
     the host."""
     code = {0: 0, **code}
     return [[code[c] for c in chi.row(v)] for v in range(chi.host.n)]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _path_state_table(units: list[list[int]], rows: list[int], extend):
@@ -285,7 +280,8 @@ def verify_every_cycle(
     bitmasks per parity vector (``_parity_tables``).  A table that would
     hold more than ``TABLE_STATE_BUDGET`` cells raises CapExceeded, and so
     does a host above ``TABLE_MAX_N`` vertices; no cycle is enumerated
-    either way.
+    either way.  On odd n, odd-chromatic holds without a table: a cycle of
+    odd length has some color an odd number of times.
     """
     try:
         pred = _PREDICATES[predicate]
@@ -298,7 +294,7 @@ def verify_every_cycle(
         raise CapExceeded(
             f"cycle verification capped at n <= {TABLE_MAX_N}, got n = {n}"
         )
-    if n < 3:
+    if n < 3 or predicate == "odd-chromatic" and n % 2:
         return True, None
     present = sorted(chi.colors_present())
     rows = [chi.host.mask(v) for v in range(n)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .colored_graph import CycleOrPath, Edge, SimpleGraph, min_degree
+from .colored_graph import CycleOrPath, Edge, SimpleGraph, _bits, min_degree
 from .errors import (
     CapExceeded,
     InternalContradiction,
@@ -60,7 +60,7 @@ def bondy_chvatal_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
     """
     n = g.n
     rows = [g.mask(v) for v in range(n)]
-    deg = [g.degree(v) for v in range(n)]
+    deg = [row.bit_count() for row in rows]
     by_deg = [0] * n  # by_deg[d]: bitmask of the vertices of degree d
     for v in range(n):
         by_deg[deg[v]] |= 1 << v
@@ -86,12 +86,8 @@ def bondy_chvatal_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
             # threshold - (d + 1); each pair thus enters the heap once
             need = threshold - d - 1
             if 0 <= need < n:
-                m = by_deg[need] & ~rows[x] & ~(1 << x)
-                while m:
-                    low = m & -m
-                    w = low.bit_length() - 1
+                for w in _bits(by_deg[need] & ~rows[x] & ~(1 << x)):
                     heappush(heap, (x, w) if x < w else (w, x))
-                    m ^= low
     closure = SimpleGraph._from_rows(rows)
     return ClosureTrace(g, threshold, tuple(added), closure)
 
@@ -275,9 +271,8 @@ def strong_ore_path(g: SimpleGraph, x: int, y: int) -> CycleOrPath:
             "even case needs at least n/2 vertices of degree >= n/2+1"
         )
     v1 = [v for v in range(n) if g.degree(v) == n // 2]
-    independent = not any(
-        g.adjacent(a, b) for i, a in enumerate(v1) for b in v1[i + 1 :]
-    )
+    low = sum(1 << v for v in v1)
+    independent = not any(g.mask(v) & low for v in v1)
     if not (independent and x in v1 and y in v1):
         # An edge inside the low class forces the closure to complete;
         # for mixed pairs the closure is attempted and its failure is
@@ -341,10 +336,8 @@ def short_connectors(
         raise PreconditionFailed("connector endpoints must be distinct and off s")
     if g.adjacent(a, b):
         yield CycleOrPath((a, b))
-    for x in range(g.n):
-        if x in s or x == a or x == b:
-            continue
-        if g.adjacent(a, x) and g.adjacent(b, x):
+    for x in _bits(g.mask(a) & g.mask(b)):
+        if x not in s:
             yield CycleOrPath((a, x, b))
 
 

@@ -609,17 +609,16 @@ def _hexagon_witness(
 ) -> CycleOrPath:
     """Odd 6-cycle x u y v z w x from a violating triple (x, y, z)."""
     x, y, z = trip
+    taken = 1 << x | 1 << y | 1 << z
     chosen: list[int] = []
     for p, q in ((x, y), (y, z), (z, x)):
-        sel = next(
-            t
-            for t in range(g.n)
-            if t not in (x, y, z)
-            and t not in chosen
-            and g.adjacent(p, t)
-            and g.adjacent(q, t)
-        )
-        chosen.append(sel)
+        free = g.mask(p) & g.mask(q) & ~taken
+        if not free:
+            raise InternalContradiction(
+                f"no free common neighbor of {p} and {q} for the hexagon"
+            )
+        chosen.append(_lowest(free))
+        taken |= 1 << chosen[-1]
     u, v, w = chosen
     wit = CycleOrPath((x, u, y, v, z, w), closed=True)
     assert_valid_cycle(g, wit, hamilton=False)

@@ -1,10 +1,12 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddramsey.colored_graph import (
+    MAX_INSTANCE_N,
     CycleOrPath,
     Edge,
     EdgeColoring,
@@ -44,15 +46,23 @@ def test_min_degree_examples():
 
 
 def _assert_graph_is(g, n, pairs):
-    """``g`` has exactly the edges ``pairs`` on ``n`` vertices, and equals
-    the graph built from that edge list."""
+    """Every view of ``g`` matches the edge set ``pairs`` on ``n``
+    vertices, and ``g`` equals the graph built from that edge list."""
     es = {edge(a, b) for a, b in pairs}
+    adj = [set() for _ in range(n)]
+    for u, v in es:
+        adj[u].add(v)
+        adj[v].add(u)
     assert g.n == n
     for v in range(n):
-        nbrs = tuple(u for u in range(n) if u != v and edge(u, v) in es)
+        nbrs = tuple(sorted(adj[v]))
         assert g.neighbors(v) == nbrs
         assert g.degree(v) == len(nbrs)
         assert g.mask(v) == sum(1 << u for u in nbrs)
+    assert list(g.edges()) == sorted(es)
+    assert g.edge_count() == len(es)
+    assert g.is_complete() == (len(es) == n * (n - 1) // 2)
+    assert min_degree(g) == min(map(len, adj))
     want = SimpleGraph(n, sorted(es))
     assert g == want and hash(g) == hash(want)
 
@@ -71,13 +81,20 @@ def _graph_and_pairs(draw):
 @given(_graph_and_pairs())
 def test_rows_built_graphs_match_edge_list_graphs(case):
     n, base, extra, keep, joined = case
+    _assert_derived_graphs(n, base, extra, keep, joined, {edge(*p) for p in base})
+
+
+def _assert_derived_graphs(n, base, extra, keep, joined, cut):
+    """The derived graphs of ``SimpleGraph(n, base)`` against edge sets:
+    ``with_edges(extra)``, ``add_vertex_with_neighbors(joined)``,
+    ``without_edge`` for each edge in ``cut`` and ``induced(keep)``."""
     g = SimpleGraph(n, base)
     _assert_graph_is(g, n, base)
     _assert_graph_is(g.with_edges(extra), n, base + extra)
     _assert_graph_is(
         g.add_vertex_with_neighbors(joined), n + 1, base + [(x, n) for x in joined]
     )
-    for e in {edge(a, b) for a, b in base}:
+    for e in cut:
         rest = [p for p in base if edge(*p) != e]
         _assert_graph_is(g.without_edge(e), n, rest)
     if not keep:
@@ -89,6 +106,35 @@ def test_rows_built_graphs_match_edge_list_graphs(case):
     pos = {o: i for i, o in enumerate(old)}
     kept = [(pos[a], pos[b]) for a, b in base if a in pos and b in pos]
     _assert_graph_is(sub, len(old), kept)
+
+
+def test_graph_views_match_edge_sets_past_two_machine_words():
+    # Seeded hosts up to n = 130, so rows span three 64-bit words: sparse
+    # ones with isolated vertices, dense ones and complete graphs.
+    rng = random.Random(24)
+    for n in [*range(1, 10), 33, 64, 65, 128, 129, 130]:
+        full = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.02, 0.6, 1.0):
+            base = [p for p in full if rng.random() < density]
+            extra = rng.sample(full, min(len(full), 5))
+            keep = rng.sample(range(n), rng.randint(0, n))
+            joined = rng.sample(range(n), rng.randint(0, n))
+            cut = rng.sample(sorted({edge(*p) for p in base}), min(len(base), 3))
+            _assert_derived_graphs(n, base, extra, keep, joined, cut)
+        _assert_graph_is(SimpleGraph.complete(n), n, full)
+
+
+def test_complete_graph_at_the_size_cap_stores_only_rows():
+    # The rows of K_2000 take about 0.6 MB; a stored neighbor tuple per
+    # vertex would add about 137 MB.
+    tracemalloc.start()
+    try:
+        g = SimpleGraph.complete(MAX_INSTANCE_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert g.is_complete() and min_degree(g) == MAX_INSTANCE_N - 1
 
 
 def test_reprs_name_size_and_palette():

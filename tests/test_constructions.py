@@ -25,7 +25,7 @@ from oddramsey.constructions import (
 from oddramsey.errors import CapExceeded, InternalContradiction, PreconditionFailed
 from oddramsey.hamilton import enumerate_hamilton_cycles
 
-from conftest import mono_coloring
+from conftest import coloring_with, mono_coloring
 
 
 def test_upper_coloring_structure_n6():
@@ -137,6 +137,10 @@ def test_verify_over_budget_raises_without_listing_cycles(monkeypatch):
         verify_every_cycle(chi, p)  # inside the real budget
     monkeypatch.setattr(constructions, "TABLE_STATE_BUDGET", 5)
     for chi, p in cases:
+        if p == "odd-chromatic" and chi.host.n % 2:
+            # odd n needs no table: every Hamilton cycle is odd-chromatic
+            assert verify_every_cycle(chi, p) == (True, None)
+            continue
         with pytest.raises(CapExceeded, match=r"^cycle verification table "
                                               r"passed 5 color states$"):
             verify_every_cycle(chi, p)
@@ -161,8 +165,8 @@ def test_verify_stops_at_the_real_state_budget(monkeypatch):
 
 
 def test_verify_rechecks_the_located_cycle(monkeypatch):
-    chi = mono_coloring(5)
-    holding = CycleOrPath((0, 1, 2, 3, 4), closed=True)
+    chi = coloring_with(6, 2, {(0, 1): 2})
+    holding = CycleOrPath((0, 1, 2, 3, 4, 5), closed=True)
     monkeypatch.setattr(
         constructions, "_first_violating_cycle", lambda *args: holding
     )
@@ -181,6 +185,28 @@ def test_verify_edges_of_the_range(monkeypatch):
     for chi in (single, mono_coloring(2)):
         for predicate in _REFERENCE_PREDICATES:
             assert verify_every_cycle(chi, predicate) == (True, None)
+
+
+def test_odd_chromatic_holds_on_odd_n_without_a_table(monkeypatch):
+    # A Hamilton cycle on odd n has odd length, so some color occurs an odd
+    # number of times.  The four many-color hosts lie past the parity
+    # budget: a table would answer cap_exceeded.
+    def no_table(*args):
+        raise AssertionError("parity table built")
+
+    monkeypatch.setattr(constructions, "_parity_tables", no_table)
+    hosts = [random_coloring(n, r, 1) for n, r in [(7, 20), (9, 14), (11, 12), (13, 10)]]
+    hosts += [mono_coloring(n) for n in (3, 5, 9, 15)]
+    hosts += [random_edge_coloring(random_min_degree_graph(9, 2, 4), 2, 4)]
+    hosts += [random_edge_coloring(SimpleGraph(7, [(0, 1), (2, 3)]), 3, 1)]
+    for chi in hosts:
+        assert verify_every_cycle(chi, "odd-chromatic") == (True, None), chi
+        with pytest.raises(AssertionError, match="parity table built"):
+            verify_every_cycle(chi, "even-chromatic")
+    with pytest.raises(AssertionError, match="parity table built"):
+        verify_every_cycle(mono_coloring(8), "odd-chromatic")
+    with pytest.raises(CapExceeded, match=r"^cycle verification capped at n <= 16, got n = 17$"):
+        verify_every_cycle(mono_coloring(17), "odd-chromatic")
 
 
 def _reference_table_verify(chi, predicate):

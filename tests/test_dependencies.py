@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oddramsey
 
 PACKAGE = Path(oddramsey.__file__).parent
@@ -34,6 +36,18 @@ def test_package_imports_only_the_standard_library():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         foreign = _top_level_imports(tree) - allowed
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_package_parses_as_python_3_10():
+    # requires-python is >=3.10: no module may use later syntax.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def test_import_scan_sees_absolute_and_nested_imports():

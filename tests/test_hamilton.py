@@ -18,6 +18,7 @@ from oddramsey.hamilton import (
     enumerate_hamilton_cycles,
     hamilton_path_between,
     short_connector,
+    short_connectors,
     strong_ore_path,
     unwind_closure,
 )
@@ -320,6 +321,27 @@ def test_short_connector():
         assert q.vertices[0] == a and q.vertices[-1] == b
         assert len(q.vertices) <= 3
         assert_valid_cycle(g, q, hamilton=False)
+    # Every connector, in order, against the vertex-by-vertex scan, on
+    # hosts whose rows span up to three 64-bit words.
+    for n in (2, 3, 7, 40, 64, 65, 130):
+        for density in (0.1, 0.5, 1.0):
+            g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+            for _ in range(6):
+                a, b, *s = rng.sample(range(n), rng.randint(2, min(n, 6)))
+                got = [q.vertices for q in short_connectors(g, a, b, set(s))]
+                assert got == _scanned_connectors(g, a, b, set(s)), (n, a, b, s)
+
+
+def _scanned_connectors(g, a, b, s):
+    """Reference: the direct edge, then a scan of every vertex for cherries."""
+    out = [(a, b)] if g.adjacent(a, b) else []
+    for x in range(g.n):
+        if x in s or x == a or x == b:
+            continue
+        if g.adjacent(a, x) and g.adjacent(b, x):
+            out.append((a, x, b))
+    return out
 
 
 def test_enumeration_counts_and_canonical_form():

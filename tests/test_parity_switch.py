@@ -16,7 +16,7 @@ from oddramsey.colored_graph import (
 )
 from oddramsey.constructions import random_edge_coloring, random_min_degree_graph
 from oddramsey.cli import main as cli_main
-from oddramsey.errors import BadWitness, PreconditionFailed
+from oddramsey.errors import BadWitness, InternalContradiction, PreconditionFailed
 from oddramsey.hamilton import assert_valid_cycle, enumerate_hamilton_cycles
 from oddramsey.parity_switch import (
     AgreementPartition,
@@ -518,6 +518,51 @@ def test_hexagon_witness_is_odd():
     wit = _hexagon_witness(g, chi, (0, 1, 2))
     assert len(wit.vertices) == 6
     assert cycle_census(chi, wit).is_odd_chromatic()
+    # Seeded hosts up to n = 130 against the vertex-by-vertex scan: the same
+    # hexagon when it is odd, the even-hexagon error when it is not, and an
+    # InternalContradiction (never StopIteration) when a pair has no free
+    # common neighbor.
+    rng = random.Random(6)
+    outcomes = set()
+    for n in (6, 7, 12, 40, 64, 65, 130):
+        for density in (0.3, 0.7, 1.0):
+            g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+            chi = random_edge_coloring(g, 2, n)
+            for _ in range(8):
+                trip = tuple(rng.sample(range(n), 3))
+                want = _scanned_hexagon(g, trip)
+                if want is None:
+                    message = "no free common neighbor"
+                elif cycle_census(chi, CycleOrPath(want, closed=True)).is_odd_chromatic():
+                    assert _hexagon_witness(g, chi, trip).vertices == want
+                    outcomes.add("odd")
+                    continue
+                else:
+                    message = "violating triple gave an even hexagon"
+                with pytest.raises(InternalContradiction, match=message):
+                    _hexagon_witness(g, chi, trip)
+                outcomes.add(message)
+    assert len(outcomes) == 3
+
+
+def _scanned_hexagon(g, trip):
+    """Reference: each pair's smallest common neighbor not yet taken, by a
+    scan of every vertex; None when some pair has none."""
+    x, y, z = trip
+    chosen = []
+    for p, q in ((x, y), (y, z), (z, x)):
+        sel = next(
+            (t for t in range(g.n)
+             if t not in (x, y, z) and t not in chosen
+             and g.adjacent(p, t) and g.adjacent(q, t)),
+            None,
+        )
+        if sel is None:
+            return None
+        chosen.append(sel)
+    u, v, w = chosen
+    return (x, u, y, v, z, w)
 
 
 def test_driver_monochromatic_and_random_complete():
