@@ -122,9 +122,14 @@ class SimpleGraph:
     def induced(self, keep: Iterable[int]) -> tuple["SimpleGraph", list[int]]:
         """Induced subgraph on ``keep`` plus the new->old vertex id map."""
         old = sorted(set(keep))
-        pos = {o: 1 << i for i, o in enumerate(old)}
-        kept = sum(1 << o for o in old)
-        rows = [sum(pos[b] for b in _bits(self._rows[a] & kept)) for a in old]
+        # each maximal run of consecutive kept ids moves down as one block:
+        # the run of new ids i..j-1 holds the old ids old[i]..old[i]+j-i-1
+        starts = [i for i, o in enumerate(old) if not i or o != old[i - 1] + 1]
+        ends = starts[1:] + [len(old)]
+        runs = [(old[i], (1 << j - i) - 1, i) for i, j in zip(starts, ends)]
+        rows = [
+            sum((self._rows[a] >> o & m) << i for o, m, i in runs) for a in old
+        ]
         return SimpleGraph._from_rows(rows), old
 
     def add_vertex_with_neighbors(self, nbrs: Iterable[int]) -> "SimpleGraph":

@@ -3,8 +3,10 @@
 One closure engine (threshold-parametrized) backs every guaranteed-existence
 route: closing the graph, taking the trivial Hamilton cycle of the complete
 closure, and unwinding added edges by crossing-pair rotations.  The closure
-always adds the lexicographically first eligible pair next, kept by a
-min-heap worklist rather than a rescan of all pairs.  One search kernel, an
+always adds the lexicographically first eligible pair next: a sweep over the
+non-edges in lexicographic order adds each pair eligible at its turn, which
+is then that first pair, and at the first pair that falls short a min-heap
+worklist of every eligible pair takes over.  One search kernel, an
 iterative depth-first search that lists Hamilton paths in lexicographic
 order, serves the three exhaustive jobs: the path fallback and the cycle
 fallback for the cases the closure alone does not certify (each bounded by
@@ -54,24 +56,39 @@ def bondy_chvatal_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
 
     Insertion order is deterministic: each step adds the lexicographically
     first eligible pair.  Degrees only grow, so a pair stays eligible until
-    it is added; a min-heap worklist holds every eligible pair once, and
-    after uv is added only partners of u or v whose degree now exactly
-    meets the threshold join it, found through one bitmask per degree.
+    it is added.  A sweep walks the non-edges in lexicographic order and
+    adds each one that is eligible at its turn; every earlier non-edge is
+    added by then, so it is the lexicographically first eligible pair.  At
+    the first pair that falls short, a min-heap worklist takes over, built
+    from the rest of the sweep's eligible pairs.  It holds every eligible
+    pair once, so its minimum is the pair to add, and after uv is added
+    only partners of u or v whose degree now exactly meets the threshold
+    join it, found through one bitmask per degree.  At threshold n with
+    minimum degree n/2, every non-edge is eligible from the start and the
+    sweep alone reaches K_n.
     """
     n = g.n
     rows = [g.mask(v) for v in range(n)]
     deg = [row.bit_count() for row in rows]
+    full = (1 << n) - 1
+    # the non-edges above the diagonal, in lexicographic order; row u is
+    # read when the sweep reaches it, so earlier additions are seen
+    pairs = ((u, v) for u in range(n) for v in _bits(full & ~rows[u] & -(2 << u)))
+    added: list[tuple[Edge, int]] = []
+    for u, v in pairs:
+        s = deg[u] + deg[v]
+        if s < threshold:
+            break
+        added.append((Edge(u, v), s))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
     by_deg = [0] * n  # by_deg[d]: bitmask of the vertices of degree d
     for v in range(n):
         by_deg[deg[v]] |= 1 << v
-    # generated in increasing order, so the list is already a heap
-    heap = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not rows[u] >> v & 1 and deg[u] + deg[v] >= threshold
-    ]
-    added: list[tuple[Edge, int]] = []
+    # the rest of the sweep is in increasing order, so this is already a heap
+    heap = [(u, v) for u, v in pairs if deg[u] + deg[v] >= threshold]
     while heap:
         u, v = heappop(heap)
         added.append((Edge(u, v), deg[u] + deg[v]))
@@ -100,6 +117,9 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
     crossing pair: an index i with path[i] adjacent to y and path[i+1]
     adjacent to x in the pre-insertion graph, allowing the standard reroute.
     Positions are scanned in increasing index and the first valid pair wins.
+    Each vertex's position on the current cycle is read from an array that
+    is refreshed only after a reroute, so an added edge that is not on the
+    cycle costs O(1).
     """
     n = trace.base.n
     if not cycle.closed or not cycle.is_hamilton(n):
@@ -107,12 +127,13 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
     cycle.validate(trace.closure)
     rows = [trace.closure.mask(v) for v in range(n)]
     current = list(cycle.vertices)
+    where = sorted(range(n), key=current.__getitem__)  # v is at current[where[v]]
     for e, _witness in reversed(trace.added):
         rows[e.u] &= ~(1 << e.v)
         rows[e.v] &= ~(1 << e.u)
         # an edge occurs at most once on a Hamilton cycle: it joins u to
         # the vertex after it or the one before it, or it is absent
-        at = current.index(e.u)
+        at = where[e.u]
         if current[(at + 1) % n] == e.v:
             pos = at
         elif current[at - 1] == e.v:
@@ -125,6 +146,7 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
         for i in range(n - 1):
             if rows[x] >> p[i + 1] & 1 and rows[y] >> p[i] & 1:
                 current = p[: i + 1] + p[i + 1 :][::-1]
+                where = sorted(range(n), key=current.__getitem__)
                 break
         else:
             raise InternalContradiction(

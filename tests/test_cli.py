@@ -366,7 +366,8 @@ def test_stdout_byte_identical(tmp_path, capsys):
 # SHA-256 of each command's stdout, taken before the color table replaced
 # the edge-keyed color map (the two after `oracle-exact-6` before `verify
 # cycles` lost its enumeration fallback and `find even-kst` its --retry-w
-# flag, the last five before the exact oracle's cycles were bit-sliced).
+# flag, the next five before the exact oracle's cycles were bit-sliced, and
+# the two at workload size before the closure became a lexicographic sweep).
 # A change of representation must not change a single output byte.
 PINNED_STDOUT_SHA256 = {
     "gen-random-12": (
@@ -429,6 +430,14 @@ PINNED_STDOUT_SHA256 = {
         0,
         "20a76810e59ae78f9a817f24370a51dbee65a6992aa56caace4f99f955a4caee",
     ),
+    "find-even-hamilton-100-c4": (
+        0,
+        "00ab25f2c53ab2747ec1edf30417cc25445fd7c45b7c92bfbf1139d46b157f65",
+    ),
+    "find-even-hamilton-92-endgame": (
+        0,
+        "9ac58b485d0c20f66b0ebf1d22e3aaa8abe34d81cb4e7722c4d2229c39810f68",
+    ),
 }
 
 
@@ -477,6 +486,17 @@ def _pinned_outputs(tmp_path, capsys) -> dict[str, tuple[int, str]]:
                        (6, "odd", 3), (6, "unique", 3)):
         run(f"oracle-exact-{n}-{mode}-{r}", "oracle", "exact", "--n", str(n),
             "--mode", mode, "--r", str(r))
+    # the two routes of the parity workloads at their sizes, delta = n/2 + 2:
+    # a random 2-coloring takes the C4 switch; two color blocks (ids divisible
+    # by 3 against the rest) leave no odd C4 or C6, so the endgame runs
+    host100 = random_min_degree_graph(100, 52, 1)
+    run("find-even-hamilton-100-c4", "find", "even-hamilton", "--input",
+        written("host100", instance_to_json(random_edge_coloring(host100, 2, 1))))
+    host92 = random_min_degree_graph(92, 48, 1)
+    blocks = {e: 1 if (e.u % 3 == 0) == (e.v % 3 == 0) else 2
+              for e in host92.edges()}
+    run("find-even-hamilton-92-endgame", "find", "even-hamilton", "--input",
+        written("host92", instance_to_json(EdgeColoring(host92, 2, blocks))))
     return out
 
 

@@ -97,6 +97,11 @@ def _assert_derived_graphs(n, base, extra, keep, joined, cut):
     for e in cut:
         rest = [p for p in base if edge(*p) != e]
         _assert_graph_is(g.without_edge(e), n, rest)
+    _assert_induced_is(g, base, keep)
+
+
+def _assert_induced_is(g, base, keep):
+    """``g.induced(keep)`` against the edge list ``base`` of ``g``."""
     if not keep:
         with pytest.raises(PreconditionFailed):
             g.induced(keep)
@@ -106,6 +111,26 @@ def _assert_derived_graphs(n, base, extra, keep, joined, cut):
     pos = {o: i for i, o in enumerate(old)}
     kept = [(pos[a], pos[b]) for a, b in base if a in pos and b in pos]
     _assert_graph_is(sub, len(old), kept)
+
+
+def test_induced_shifts_runs_of_kept_ids():
+    # The C4 switch removes 1-3 vertices, so the kept ids fall into a few
+    # runs; the ends 0 and n-1, a lone kept vertex, unsorted keep lists
+    # with duplicates and rows past two machine words all take that path.
+    rng = random.Random(26)
+    for n in (1, 2, 3, 5, 9, 64, 65, 100, 129, 131):
+        full = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.3, 0.9, 1.0):
+            base = [p for p in full if rng.random() < density]
+            g = SimpleGraph(n, base)
+            removals = [[0], [n - 1], [0, n - 1]]
+            removals += [rng.sample(range(n), min(n, k)) for k in (1, 2, 3)]
+            for gone in removals:
+                _assert_induced_is(g, base, [v for v in range(n) if v not in gone])
+            for v in {0, n // 2, n - 1}:
+                _assert_induced_is(g, base, [v])
+            keep = rng.choices(range(n), k=n)  # unsorted, with repeats
+            _assert_induced_is(g, base, keep)
 
 
 def test_graph_views_match_edge_sets_past_two_machine_words():

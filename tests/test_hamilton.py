@@ -1,10 +1,13 @@
 import random
 import time
+from heapq import heappop, heappush
 from itertools import permutations
 
 import pytest
 
+from oddramsey import hamilton
 from oddramsey.colored_graph import CycleOrPath, Edge, SimpleGraph, edge
+from oddramsey.constructions import random_min_degree_graph
 from oddramsey.errors import (
     CapExceeded,
     NotFoundError,
@@ -12,6 +15,7 @@ from oddramsey.errors import (
 )
 from oddramsey.hamilton import (
     FALLBACK_NODE_BUDGET,
+    ClosureTrace,
     assert_valid_cycle,
     bondy_chvatal_closure,
     dirac_hamilton_cycle,
@@ -484,17 +488,93 @@ def _position_scan_unwind(trace, cycle: CycleOrPath) -> tuple:
     return tuple(current)
 
 
-def test_closure_order_matches_restart_scan():
-    # edges and witnesses, in order, on plain and auxiliary-vertex graphs
+def _heap_closure(g: SimpleGraph, threshold: int) -> ClosureTrace:
+    """The closure as a min-heap worklist over every eligible pair from the
+    start, with no sweep in front of it."""
+    n = g.n
+    rows = [g.mask(v) for v in range(n)]
+    deg = [row.bit_count() for row in rows]
+    heap = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not rows[u] >> v & 1 and deg[u] + deg[v] >= threshold
+    ]
+    added = []
+    while heap:
+        u, v = heappop(heap)
+        added.append((Edge(u, v), deg[u] + deg[v]))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        for x in (u, v):
+            deg[x] += 1
+            # pairs at x that reach the threshold exactly now
+            for w in range(n):
+                if w != x and not rows[x] >> w & 1 and \
+                        deg[x] + deg[w] == threshold:
+                    heappush(heap, (x, w) if x < w else (w, x))
+    return ClosureTrace(g, threshold, tuple(added), SimpleGraph._from_rows(rows))
+
+
+def test_closure_order_matches_restart_scan(monkeypatch):
+    # edges and witnesses, in order, on plain and auxiliary-vertex graphs,
+    # random ones and the parity workloads' shape (delta >= n/2 + 2); some
+    # closures end in the lexicographic sweep and some hand over to the heap
+    pops = []
+    monkeypatch.setattr(
+        hamilton, "heappop", lambda heap: pops.append(1) or heappop(heap)
+    )
+    ended = {"sweep": 0, "heap": 0}
+
+    def check(g, x, y):
+        for h in (g, g.add_vertex_with_neighbors([x, y])):
+            for t in (0, h.n - 1, h.n, h.n + 1, 2 * h.n):
+                before = len(pops)
+                assert list(bondy_chvatal_closure(h, t).added) == \
+                    _restart_scan_closure(h, t)
+                ended["heap" if len(pops) > before else "sweep"] += 1
+
     rng = random.Random(53)
     for _ in range(100):
         n = rng.randrange(3, 31)
         g = _random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
-        x, y = rng.sample(range(n), 2)
-        for h in (g, g.add_vertex_with_neighbors([x, y])):
-            for t in (h.n - 1, h.n, h.n + 1):
-                assert list(bondy_chvatal_closure(h, t).added) == \
-                    _restart_scan_closure(h, t)
+        check(g, *rng.sample(range(n), 2))
+    for s in range(20):
+        n = rng.randrange(6, 31)
+        check(random_min_degree_graph(n, n // 2 + 2, s), *rng.sample(range(n), 2))
+    assert ended["sweep"] > 0 and ended["heap"] > 0
+
+
+def test_workload_closures_never_touch_the_heap(monkeypatch):
+    # On the parity workloads' hosts the sweep alone reaches the fixpoint,
+    # and the cycle and paths found are those of the heap closure.
+    dense = [random_min_degree_graph(92, 48, s) for s in (1, 2, 3)]
+    host = random_min_degree_graph(100, 52, 1)
+    pairs = [(0, 99), (7, 3), (50, 51)]
+
+    def found():
+        return (
+            [dirac_hamilton_cycle(g).vertices for g in dense],
+            [hamilton_path_between(host, x, y).vertices for x, y in pairs],
+        )
+
+    with monkeypatch.context() as m:
+        m.setattr(hamilton, "bondy_chvatal_closure", _heap_closure)
+        want = found()
+
+    def refuse(*args):
+        raise AssertionError("the closure fell back to the heap")
+
+    monkeypatch.setattr(hamilton, "heappop", refuse)
+    monkeypatch.setattr(hamilton, "heappush", refuse)
+    assert found() == want
+
+
+def _rotated_seed(rng, n: int) -> CycleOrPath:
+    """The cycle 0..n-1 from a random start, so removed edges lie across
+    the wrap-around too."""
+    r = rng.randrange(n)
+    return CycleOrPath(tuple(range(r, n)) + tuple(range(r)), closed=True)
 
 
 def test_unwind_matches_position_scan():
@@ -506,13 +586,33 @@ def test_unwind_matches_position_scan():
         trace = bondy_chvatal_closure(g, n)
         if not trace.closure.is_complete():
             continue
-        # a rotated seed puts removed edges across the wrap-around too
-        r = rng.randrange(n)
-        seed = CycleOrPath(tuple(range(r, n)) + tuple(range(r)), closed=True)
+        seed = _rotated_seed(rng, n)
         got = unwind_closure(trace, seed).vertices
         assert got == _position_scan_unwind(trace, seed)
         unwound += bool(trace.added)
     assert unwound > 40
+    # auxiliary-vertex traces at threshold n + 1, as hamilton_path_between
+    # builds them, and threshold-n traces that add more than n^2/4 edges,
+    # whose hosts sit below the Dirac bound
+    aux_checked = long_checked = 0
+    for s in range(40):
+        n = rng.randrange(8, 45)
+        g = random_min_degree_graph(n, n // 2 + rng.randrange(3), s)
+        aux = g.add_vertex_with_neighbors(rng.sample(range(n), 2))
+        below = random_min_degree_graph(n, n // 2 - 2, s)
+        for trace in (bondy_chvatal_closure(aux, n + 1),
+                      bondy_chvatal_closure(below, n)):
+            m = trace.base.n
+            if not trace.closure.is_complete():
+                continue
+            seed = _rotated_seed(rng, m)
+            got = unwind_closure(trace, seed).vertices
+            assert got == _position_scan_unwind(trace, seed)
+            if m > n:
+                aux_checked += 1
+            elif len(trace.added) > n * n / 4:
+                long_checked += 1
+    assert aux_checked > 30 and long_checked > 20
 
 
 def _two_cliques(k: int) -> SimpleGraph:
