@@ -15,8 +15,9 @@ up the colors every earlier vertex sees at the mask, so a sum whose fields
 are all even is a mask every earlier list holds.  Only a miss there builds
 the first t' lists and starts one Counter of earlier owners.  Only the
 witness mask is decoded, and its owners are recovered by a parity test of
-their stars.  Past ``STRONGLY_EVEN_MASK_BUDGET`` masks, counted from the
-class sizes before any list is built, the search answers "unknown".
+their stars.  Past ``STRONGLY_EVEN_MASK_BUDGET`` machine words of masks,
+counted from the class sizes before any list is built, the search answers
+"unknown".
 
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
@@ -182,9 +183,11 @@ def even_neighborhoods(
     return (frozenset(_bits(m)) for m in _even_masks(chi, u, s_prime))
 
 
-# Even s'-neighborhoods find_strongly_even may list in all before it answers
-# "unknown", counted as whole lists even where the window (``_window_hit``)
-# builds fewer; the benchmark's K_60 s'=4 inputs count at most about 450,000.
+# Machine words of even s'-neighborhoods find_strongly_even may list in all
+# before it answers "unknown": a mask of an n-vertex host counts (n + 63) // 64
+# words, so wide hosts list fewer masks.  Whole lists count even where the
+# window (``_window_hit``) builds fewer; the benchmark's K_60 s'=4 inputs
+# count at most about 450,000.
 STRONGLY_EVEN_MASK_BUDGET = 2_000_000
 
 # Count-field bits one window list may carry above its n vertex bits (past
@@ -211,9 +214,10 @@ def find_strongly_even(
     testing the star of each earlier vertex at it for an all-even census.
     The index is exhaustive, so a miss certifies that no witness exists,
     unless the lists, counted before any is built, would pass
-    ``STRONGLY_EVEN_MASK_BUDGET`` masks: then the miss is "unknown".  With
-    t'=1 the first mask of the first vertex that has one is the witness,
-    and ``_first_even_mask`` finds it without listing the rest.
+    ``STRONGLY_EVEN_MASK_BUDGET`` machine words, (n + 63) // 64 per mask:
+    then the miss is "unknown".  With t'=1 the first mask of the first
+    vertex that has one is the witness, and ``_first_even_mask`` finds it
+    without listing the rest.
     """
     n = chi.host.n
     if t_prime < 1:
@@ -231,9 +235,12 @@ def find_strongly_even(
             if mask is not None:
                 return StronglyEvenWitness(tuple(_bits(mask)), (u,))
         return Miss("not_found", "strongly-even")
-    listed = sum(_even_mask_count(chi, u, s_prime) for u in range(min(n, t_prime)))
-    if listed > STRONGLY_EVEN_MASK_BUDGET:
-        return Miss("unknown", "strongly-even")
+    words = (n + 63) // 64
+    listed = 0
+    for u in range(min(n, t_prime)):
+        listed += words * _even_mask_count(chi, u, s_prime)
+        if listed > STRONGLY_EVEN_MASK_BUDGET:
+            return Miss("unknown", "strongly-even")
     if n < t_prime:
         return Miss("not_found", "strongly-even")
     u = t_prime - 1
@@ -243,7 +250,7 @@ def find_strongly_even(
         for v in range(t_prime):
             owners.update(_even_masks(chi, v, s_prime))
         for u in range(t_prime, n):
-            listed += _even_mask_count(chi, u, s_prime)
+            listed += words * _even_mask_count(chi, u, s_prime)
             if listed > STRONGLY_EVEN_MASK_BUDGET:
                 return Miss("unknown", "strongly-even")
             masks = _even_masks(chi, u, s_prime)

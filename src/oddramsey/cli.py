@@ -1,18 +1,23 @@
 """Command-line interface: one binary, a subcommand tree, JSON in and out.
 
-Every command writes a single JSON document (sorted keys) to stdout; logs
-and wall-clock timing go to stderr so that stdout stays byte-identical
-across reruns with the same seed.  Statuses map one-to-one onto exit
-codes: ok 0, not_found 2, unknown 3, precondition_failed 4,
-internal_contradiction 5, cap_exceeded 6; usage errors exit 64.
+The commands and their flags are one table, ``COMMANDS``, keyed by
+(group, op); ``parse_args`` reads an argv against it in one pass, without
+argparse, whose import and parser tree would cost every run more than
+some of the searches it starts.  Every command writes a single JSON
+document (sorted keys) to stdout; logs and wall-clock timing go to stderr
+so that stdout stays byte-identical across reruns with the same seed.
+Statuses map one-to-one onto exit codes: ok 0, not_found 2, unknown 3,
+precondition_failed 4, internal_contradiction 5, cap_exceeded 6; usage
+errors exit 64.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .colored_graph import (
     EdgeColoring,
@@ -45,11 +50,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
-
-
 def _census_obj(census) -> dict:
     return {str(c): k for c, k in sorted(census.counts.items())}
 
@@ -69,63 +69,153 @@ def _read_instance(path: str) -> EdgeColoring:
         raise _UsageError(f"invalid instance: {exc}") from exc
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="oddramsey", description=__doc__)
-    sub = p.add_subparsers(dest="group", required=True)
+REQUIRED = object()  # the default of a flag that must be given
 
-    find = sub.add_parser("find", help="search operations")
-    fsub = find.add_subparsers(dest="op", required=True)
+# (group, op) -> (summary, flags).  A flag is (name, kind, default, help):
+# kind is int or str for a flag that takes one value, a tuple of the values
+# it accepts, or bool for a flag that takes none (False unless given); a
+# default of REQUIRED makes the flag mandatory.  A flag --x-y is read into
+# the attribute x_y.
+COMMANDS = {
+    ("find", "even-hamilton"): ("even-chromatic Hamilton cycle", (
+        ("input", str, REQUIRED, "instance file; - reads stdin"),
+    )),
+    ("find", "unique-free"): ("Hamilton cycle with no unique color", (
+        ("input", str, REQUIRED, "instance file; - reads stdin"),
+        ("trace", str, None, "write the color ledger to this file"),
+        ("best-effort", bool, False, "run past the r <= n/4 guarantee"),
+    )),
+    ("find", "even-kst"): ("even-chromatic complete bipartite subgraph", (
+        ("input", str, REQUIRED, "instance file; - reads stdin"),
+        ("s", int, REQUIRED, "size of side A"),
+        ("t", int, REQUIRED, "size of side B"),
+        ("t-prime", int, None, "odd s only; default n - s"),
+    )),
+    ("construct", "unique-upper"): (
+        "coloring with a unique color on every cycle",
+        (("n", int, REQUIRED, "vertices, 1..2000"),),
+    ),
+    ("oracle", "exact"): ("does some r-coloring satisfy the mode everywhere", (
+        ("n", int, REQUIRED, "vertices of K_n"),
+        ("mode", ("odd", "unique"), REQUIRED, "predicate every cycle must meet"),
+        ("r", int, REQUIRED, "colors"),
+    )),
+    ("gen", "random"): ("seeded uniform coloring of a complete graph", (
+        ("n", int, REQUIRED, "vertices, 1..2000"),
+        ("r", int, REQUIRED, "colors"),
+        ("seed", int, REQUIRED, "SplitMix64 seed"),
+    )),
+    ("verify", "cycles"): ("check a predicate on every Hamilton cycle", (
+        ("input", str, "-", "instance file; - reads stdin"),
+        ("predicate", ("has-unique-color", "odd-chromatic", "even-chromatic"),
+         REQUIRED, "checked on every Hamilton cycle"),
+    )),
+    ("export", "dot"): ("DOT rendering of a colored instance", (
+        ("input", str, REQUIRED, "instance file; - reads stdin"),
+    )),
+}
+_HELP = ("-h", "--help")
 
-    f1 = fsub.add_parser("even-hamilton", help="even-chromatic Hamilton cycle")
-    f1.add_argument("--input", required=True)
 
-    f2 = fsub.add_parser("unique-free", help="Hamilton cycle with no unique color")
-    f2.add_argument("--input", required=True)
-    f2.add_argument("--trace", default=None)
-    f2.add_argument("--best-effort", action="store_true")
+def _help(keys) -> None:
+    """Print the usage of the commands ``keys`` to stdout and exit 0."""
+    lines = ["usage: oddramsey GROUP OP [--flag VALUE | --flag=VALUE] ..."]
+    for group, op in keys:
+        summary, flags = COMMANDS[group, op]
+        lines += ["", f"oddramsey {group} {op}: {summary}"]
+        for name, kind, default, text in flags:
+            if isinstance(kind, tuple):
+                meta = " {" + ",".join(kind) + "}"
+            else:
+                meta = {bool: "", int: " INT", str: " STR"}[kind]
+            if default is REQUIRED:
+                text += " (required)"
+            elif isinstance(default, str):
+                text += f" (default {default})"
+            lines.append(f"  --{name}{meta}".ljust(28) + text)
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    f3 = fsub.add_parser("even-kst", help="even-chromatic complete bipartite subgraph")
-    f3.add_argument("--input", required=True)
-    f3.add_argument("--s", type=int, required=True)
-    f3.add_argument("--t", type=int, required=True)
-    f3.add_argument("--t-prime", type=int, default=None,
-                    help="odd s only; default n - s")
 
-    construct = sub.add_parser("construct", help="explicit colorings")
-    csub = construct.add_subparsers(dest="op", required=True)
-    c1 = csub.add_parser("unique-upper", help="coloring with a unique color on every cycle")
-    c1.add_argument("--n", type=int, required=True)
+def _is_value(word: str, flags) -> bool:
+    """Whether ``word`` may follow a flag as its value.  As argparse read
+    it: anything but a word that starts with ``-``, except ``-`` itself, a
+    negative number and, unless it names a flag before an ``=``, a word
+    with a space in it."""
+    if word[:1] != "-" or word == "-":
+        return True
+    if word.partition("=")[0] in flags:
+        return False
+    return " " in word or re.match(r"-\d+$|-\d*\.\d+$", word) is not None
 
-    oracle = sub.add_parser("oracle", help="exact small-case oracles")
-    osub = oracle.add_subparsers(dest="op", required=True)
-    o1 = osub.add_parser("exact", help="does some r-coloring satisfy the mode everywhere")
-    o1.add_argument("--n", type=int, required=True)
-    o1.add_argument("--mode", choices=["odd", "unique"], required=True)
-    o1.add_argument("--r", type=int, required=True)
 
-    gen = sub.add_parser("gen", help="instance generators")
-    gsub = gen.add_subparsers(dest="op", required=True)
-    g1 = gsub.add_parser("random", help="seeded uniform coloring of a complete graph")
-    g1.add_argument("--n", type=int, required=True)
-    g1.add_argument("--r", type=int, required=True)
-    g1.add_argument("--seed", type=int, required=True)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against :data:`COMMANDS` in one pass.
 
-    verify = sub.add_parser("verify", help="exhaustive verification")
-    vsub = verify.add_subparsers(dest="op", required=True)
-    v1 = vsub.add_parser("cycles", help="check a predicate on every Hamilton cycle")
-    v1.add_argument("--input", default="-")
-    v1.add_argument(
-        "--predicate",
-        choices=["has-unique-color", "odd-chromatic", "even-chromatic"],
-        required=True,
-    )
-
-    export = sub.add_parser("export", help="exports")
-    esub = export.add_subparsers(dest="op", required=True)
-    e1 = esub.add_parser("dot", help="DOT rendering of a colored instance")
-    e1.add_argument("--input", required=True)
-
-    return p
+    The first two words pick the command; each later word is one of its
+    flags, ``--flag VALUE`` or ``--flag=VALUE``, in any order, the last
+    one winning.  Flags are never abbreviated.  ``-h``/``--help`` in place
+    of the group or the op, or among the flags, prints usage and exits 0.
+    Every other mistake raises a usage error: at once for a bad value,
+    after the last word for a missing flag or unknown words (so a later
+    ``-h`` still prints usage, as argparse had it).
+    """
+    group = argv[0] if argv else None
+    if group in _HELP:
+        _help(COMMANDS)
+    groups = list(dict.fromkeys(g for g, _ in COMMANDS))
+    if group not in groups:
+        raise _UsageError(f"expected a group, one of: {', '.join(groups)}")
+    ops = [key for key in COMMANDS if key[0] == group]
+    op = argv[1] if len(argv) > 1 else None
+    if op in _HELP:
+        _help(ops)
+    if (group, op) not in COMMANDS:
+        names = ", ".join(o for _, o in ops)
+        raise _UsageError(f"expected an op after {group}, one of: {names}")
+    kinds = {"--" + name: kind for name, kind, _, _ in COMMANDS[group, op][1]}
+    values = {}
+    unknown = []
+    i = 2
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if word in _HELP:
+            _help([(group, op)])
+        name, eq, value = word.partition("=")
+        if name not in kinds:
+            if word.startswith(("-h", "--help=")):
+                raise _UsageError(f"{word}: help takes no value")
+            unknown.append(word)
+            continue
+        kind = kinds[name]
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            if i == len(argv) or not _is_value(argv[i], kinds.keys() | _HELP):
+                raise _UsageError(f"{name} expects one value")
+            value = argv[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{name}: invalid int value {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise _UsageError(f"{name}: {value!r} is not one of {', '.join(kind)}")
+        values[name] = value
+    args = SimpleNamespace(group=group, op=op)
+    for name, _, default, _ in COMMANDS[group, op][1]:
+        value = values.get("--" + name, default)
+        if value is REQUIRED:
+            raise _UsageError(f"--{name} is required")
+        setattr(args, name.replace("-", "_"), value)
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 _DOT_PALETTE = [
@@ -255,8 +345,7 @@ def dispatch(args) -> tuple[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         status, payload = dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

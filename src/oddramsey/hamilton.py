@@ -127,31 +127,36 @@ def unwind_closure(trace: ClosureTrace, cycle: CycleOrPath) -> CycleOrPath:
     cycle.validate(trace.closure)
     rows = [trace.closure.mask(v) for v in range(n)]
     current = list(cycle.vertices)
-    where = sorted(range(n), key=current.__getitem__)  # v is at current[where[v]]
+    where = [0] * n  # w is at current[where[w]]
+    for k, w in enumerate(current):
+        where[w] = k
     for e, _witness in reversed(trace.added):
-        rows[e.u] &= ~(1 << e.v)
-        rows[e.v] &= ~(1 << e.u)
+        u, v = e
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
         # an edge occurs at most once on a Hamilton cycle: it joins u to
-        # the vertex after it or the one before it, or it is absent
-        at = where[e.u]
-        if current[(at + 1) % n] == e.v:
+        # the vertex after it (index at + 1 - n wraps to 0 past the end)
+        # or the one before it, or it is absent; pos = -1 slices like n - 1
+        at = where[u]
+        if current[at + 1 - n] == v:
             pos = at
-        elif current[at - 1] == e.v:
-            pos = (at - 1) % n
+        elif current[at - 1] == v:
+            pos = at - 1
         else:
             continue
         # Hamilton path p with endpoints x=p[0], y=p[-1] joined by e.
         p = current[pos + 1 :] + current[: pos + 1]
-        x, y = p[0], p[-1]
+        row_x, row_y = rows[p[0]], rows[p[-1]]
         for i in range(n - 1):
-            if rows[x] >> p[i + 1] & 1 and rows[y] >> p[i] & 1:
-                current = p[: i + 1] + p[i + 1 :][::-1]
-                where = sorted(range(n), key=current.__getitem__)
+            if row_x >> p[i + 1] & 1 and row_y >> p[i] & 1:
                 break
         else:
             raise InternalContradiction(
                 f"no crossing pair for removed closure edge {e}"
             )
+        current = p[: i + 1] + p[:i:-1]
+        for k, w in enumerate(current):
+            where[w] = k
     out = CycleOrPath(tuple(current), closed=True)
     out.validate(trace.base)
     return out

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -67,3 +69,10 @@ def instance_like(draw):
         else:
             edges[i][where] = value
     return obj
+
+
+def readme_usage_lines() -> list[str]:
+    """The ``oddramsey ...`` lines of the README's CLI usage block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("oddramsey ")]

@@ -264,6 +264,26 @@ def test_strongly_even_stops_at_its_mask_budget(monkeypatch):
     assert isinstance(find_strongly_even(chi, 4, 1), StronglyEvenWitness)
 
 
+def test_strongly_even_budget_counts_machine_words(monkeypatch):
+    # Past 64 vertices each listed mask is two machine words, so the budget
+    # that admits a search is twice its mask count: one word less answers
+    # "unknown" although it still covers every mask.
+    cases = [(random_coloring(90, 12, 1), 2, 12), (random_coloring(66, 10, 1), 2, 20)]
+    hits = []
+    for chi, sp, tp in cases:
+        want = find_strongly_even(chi, sp, tp)
+        hit = isinstance(want, StronglyEvenWitness)
+        hits.append(hit)
+        last = want.side_b[-1] if hit else chi.host.n - 1
+        assert last >= tp  # the answer comes from the counting pass
+        words = 2 * sum(_even_mask_count(chi, u, sp) for u in range(last + 1))
+        monkeypatch.setattr(bipartite_even, "STRONGLY_EVEN_MASK_BUDGET", words)
+        assert find_strongly_even(chi, sp, tp) == want
+        monkeypatch.setattr(bipartite_even, "STRONGLY_EVEN_MASK_BUDGET", words - 1)
+        assert find_strongly_even(chi, sp, tp) == Miss("unknown", "strongly-even")
+    assert hits == [True, False]
+
+
 def _rule_coloring(host, r, rule):
     """Color each host edge uv (u < v) by ``1 + rule(u, v) % r``."""
     return EdgeColoring(host, r, {e: 1 + rule(*e) % r for e in host.edges()})
@@ -377,10 +397,10 @@ def test_window_survivor_census_matches_owner_lists(monkeypatch, bits):
 
 
 def test_strongly_even_budget_stops_before_any_list(monkeypatch):
-    # Vertex 0 alone fits the budget, so a budget checked vertex by vertex
-    # would list its 1.2M masks before vertex 1 passes it.
-    chi = random_coloring(120, 4, 1)
-    assert _even_mask_count(chi, 0, 4) <= bipartite_even.STRONGLY_EVEN_MASK_BUDGET
+    # Vertex 0 alone fits the budget (843k masks of two words each), so a
+    # budget checked vertex by vertex would list them before vertex 1 passes it.
+    chi = random_coloring(120, 5, 1)
+    assert 2 * _even_mask_count(chi, 0, 4) <= bipartite_even.STRONGLY_EVEN_MASK_BUDGET
     built = []
     monkeypatch.setattr(bipartite_even, "_even_masks",
                         lambda *args: built.append(args) or [])

@@ -6,12 +6,11 @@ import re
 import shlex
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from oddramsey.cli import STATUS_CODES, USAGE_EXIT, build_parser, main
+from oddramsey.cli import STATUS_CODES, USAGE_EXIT, main, parse_args
 from oddramsey.colored_graph import (
     EdgeColoring,
     SimpleGraph,
@@ -26,7 +25,7 @@ from oddramsey.constructions import (
     splitmix64_next,
 )
 
-from conftest import instance_like
+from conftest import instance_like, readme_usage_lines
 
 
 def run_cli(capsys, *argv):
@@ -719,15 +718,8 @@ def test_even_kst_single_column_answers_fast_on_a_dense_host(tmp_path, capsys):
                                    "status": "ok"}
 
 
-def _readme_usage_lines() -> list[str]:
-    """The ``oddramsey ...`` lines of the README's CLI usage block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [ln for ln in block.splitlines() if ln.startswith("oddramsey ")]
-
-
 def test_readme_usage_parses_with_and_without_optional_flags():
-    lines = _readme_usage_lines()
+    lines = readme_usage_lines()
     assert len(lines) == 8
     for line in lines:
         for variant in (re.sub(r"\[([^]]*)\]", r"\1", line),
@@ -735,4 +727,4 @@ def test_readme_usage_parses_with_and_without_optional_flags():
             argv = shlex.split(variant, comments=True)[1:]
             if ">" in argv:
                 argv = argv[: argv.index(">")]
-            build_parser().parse_args(argv)  # a usage error raises
+            parse_args(argv)  # a usage error raises

@@ -7,6 +7,8 @@ it import the heavy introspection modules of the standard library.
 
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import oddramsey
+
+from conftest import readme_usage_lines
 
 PACKAGE = Path(oddramsey.__file__).parent
 
@@ -62,14 +66,22 @@ def test_import_scan_sees_absolute_and_nested_imports():
 
 def test_no_module_pulls_in_dataclasses_or_inspect():
     # Every CLI run is a fresh process, so these two (and ast, dis and
-    # tokenize behind inspect) would cost each run their import time.  -S
-    # keeps site-packages .pth hooks, which may import anything, out of it.
+    # tokenize behind inspect) would cost each run their import time, as
+    # would argparse and the gettext and locale it loads to build a parser.
+    # -S keeps site-packages .pth hooks, which may import anything, out of it.
     names = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert len(names) >= 8
+    commands = [
+        shlex.split(re.sub(r"[][]", "", line).split(">")[0], comments=True)[1:]
+        for line in readme_usage_lines()
+    ]
+    assert len(commands) == 8
+    heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     code = (
         "import importlib, sys\n"
         f"for m in {names!r}: importlib.import_module('oddramsey.' + m)\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        f"for argv in {commands!r}: sys.modules['oddramsey.cli'].parse_args(argv)\n"
+        f"print(sorted({heavy!r} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
