@@ -22,8 +22,9 @@ counted from the class sizes before any list is built, the search answers
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
 outright at small n; the top-level search only reports ``not_found`` with
-that certificate and says ``unknown`` otherwise.  One k-subset
-XOR-to-zero search serves both the even covers and that sweep.
+that certificate and says ``unknown`` otherwise.  Odd-supports are palette
+masks (``_odd_colors``), and one k-subset XOR-to-zero search serves both
+the even covers and that sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from itertools import combinations, compress, repeat
 from math import comb
 from operator import indexOf, not_
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .colored_graph import EdgeColoring, ParityCensus, _bits, parity_census
 from .errors import CapExceeded, InternalContradiction, PreconditionFailed
@@ -77,6 +78,15 @@ def _bipartite_census(
     chi: EdgeColoring, side_a: tuple[int, ...], side_b: tuple[int, ...]
 ) -> ParityCensus:
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
+
+
+def _odd_colors(chi: EdgeColoring, v: int, side: Iterable[int]) -> int:
+    """Palette mask of the colors v sees an odd number of times toward
+    ``side``, bit c - 1 for color c; a non-edge raises."""
+    acc = 0
+    for w in side:
+        acc ^= 1 << chi.color(v, w) - 1
+    return acc
 
 
 def _check_s_prime(s_prime: int) -> None:
@@ -211,7 +221,7 @@ def find_strongly_even(
     Counter takes the lists of vertices 0..t'-1, then each later vertex
     probes it and, failing, enters its whole list in one update.  On a hit
     only that mask is decoded, and its earlier owners are recovered by
-    testing the star of each earlier vertex at it for an all-even census.
+    testing the star of each earlier vertex at it for odd colors.
     The index is exhaustive, so a miss certifies that no witness exists,
     unless the lists, counted before any is built, would pass
     ``STRONGLY_EVEN_MASK_BUDGET`` machine words, (n + 63) // 64 per mask:
@@ -272,10 +282,7 @@ def find_strongly_even(
 
 def _owns(chi: EdgeColoring, v: int, mask: int, side_a: tuple[int, ...]) -> bool:
     """Whether ``mask`` (decoded: ``side_a``) is an even s'-neighborhood of v."""
-    return (
-        chi.host.mask(v) & mask == mask
-        and _bipartite_census(chi, side_a, (v,)).is_even_chromatic()
-    )
+    return chi.host.mask(v) & mask == mask and not _odd_colors(chi, v, side_a)
 
 
 def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
@@ -294,7 +301,7 @@ def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
     whose fields are all even is thus a mask every earlier list holds.
     Vertex 0's fields always go in; later ones only while all fields fit in
     ``WINDOW_FIELD_BITS`` bits.  The earlier vertices that do not fit are
-    checked by their star census on the survivors, in list order.
+    checked for odd colors in their stars on the survivors, in list order.
     """
     n, u = chi.host.n, t_prime - 1
     common = chi.host.mask(u)
@@ -338,25 +345,23 @@ def build_parity_hypergraph(
         raise PreconditionFailed("w-triple must be distinct and disjoint from V2")
     edges = []
     for u in v2:
-        colors = [chi.color(u, w) for w in trio]
-        support = frozenset(c for c in set(colors) if colors.count(c) % 2)
-        if len(support) not in (1, 3):
+        odd = _odd_colors(chi, u, trio)
+        if odd.bit_count() not in (1, 3):
             raise InternalContradiction("odd support of a triple has size 1 or 3")
-        edges.append((u, support))
+        edges.append((u, frozenset(b + 1 for b in _bits(odd))))
     return ParityHypergraph(chi.r, tuple(edges))
 
 
 def _masks(h: ParityHypergraph) -> list[int]:
-    return [
-        sum(1 << (c - 1) for c in sup) for _, sup in h.edges
-    ]
+    return [sum(1 << c - 1 for c in sup) for _, sup in h.edges]
 
 
 _EXHAUSTIVE_CAP = 200_000
 _DECISIVE_CAP = 10_000_000
 
 
-def _xor(masks: list[int], idx: tuple[int, ...]) -> int:
+def _xor(masks: list[int], idx: Iterable[int]) -> int:
+    # A plain loop: reduce(xor, map(...)) runs a full scan 2-3x slower.
     acc = 0
     for i in idx:
         acc ^= masks[i]
@@ -376,10 +381,7 @@ def _zero_xor_subset(masks: list[int], k: int) -> list[int] | None:
     space = comb(m, k)
     if space <= _EXHAUSTIVE_CAP:
         for combo in combinations(range(m), k):
-            acc = 0  # _xor inlined: this is the sweep's inner loop
-            for i in combo:
-                acc ^= masks[i]
-            if not acc:
+            if not _xor(masks, combo):
                 return list(combo)
         return None
     if space > _DECISIVE_CAP:
@@ -434,13 +436,7 @@ def find_even_cover(
 def _checked_cover(
     h: ParityHypergraph, masks: list[int], idx: list[int]
 ) -> EvenCover:
-    acc = 0
-    counts = [0] * h.palette
-    for i in idx:
-        acc ^= masks[i]
-        for c in h.edges[i][1]:
-            counts[c - 1] += 1
-    if acc != 0 or any(c % 2 for c in counts):
+    if _xor(masks, idx):
         raise InternalContradiction("search tier returned an uneven cover")
     return EvenCover(tuple(h.edges[i][0] for i in idx))
 
@@ -523,12 +519,7 @@ def _sweep_all_tuples(
     n = chi.host.n
     for a_side in combinations(range(n), s):
         rest = [v for v in range(n) if v not in a_side]
-        masks = []
-        for u in rest:
-            acc = 0
-            for w in a_side:
-                acc ^= 1 << (chi.color(u, w) - 1)
-            masks.append(acc)
+        masks = [_odd_colors(chi, u, a_side) for u in rest]
         found = _zero_xor_subset(masks, t)
         if found is not None:
             out = Bipartition(

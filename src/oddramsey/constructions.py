@@ -469,7 +469,8 @@ def exact_ramsey(n: int, mode: str, r: int) -> OracleResult:
     closing at e become leaf-indexed ints, and a few big-int operations per
     cycle give, for each color of e, the leaves that pass.  Only those are
     expanded, in search order, and the nodes the search would have visited
-    are counted, up to the leaf that succeeds if one does.
+    are counted, up to the leaf that succeeds if one does.  A witness is
+    re-checked by ``verify_every_cycle``, which lists no cycle.
     """
     if mode not in ("odd", "unique"):
         raise PreconditionFailed("mode must be 'odd' or 'unique'")
@@ -582,6 +583,9 @@ def exact_ramsey(n: int, mode: str, r: int) -> OracleResult:
         witness = EdgeColoring(
             host, r, {e: assignment[i] for i, e in enumerate(edges)}
         )
+        predicate = "odd-chromatic" if odd else "has-unique-color"
+        if not verify_every_cycle(witness, predicate)[0]:
+            raise InternalContradiction(f"oracle witness fails {predicate}")
         return OracleResult(True, witness, nodes)
     return OracleResult(False, None, nodes)
 

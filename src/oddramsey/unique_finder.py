@@ -369,22 +369,15 @@ def harvest_cherries_matchings(
             rem -= set(cherry)
             ledger.free_color(c, "cherry", cherry=cherry)
             continue
-        c_edges = [
+        # No cherry: no vertex of R has two c-edges inside R, so those
+        # edges are pairwise disjoint and the first two are a 2-matching.
+        matching = [
             (u, v)
             for u in sorted(rem)
             for v in sorted(rem)
             if u < v and chi.color(u, v) == c
-        ]
-        matching = next(
-            (
-                (e1, e2)
-                for i, e1 in enumerate(c_edges)
-                for e2 in c_edges[i + 1 :]
-                if not set(e1) & set(e2)
-            ),
-            None,
-        )
-        if matching is not None:
+        ][:2]
+        if len(matching) == 2:
             for u, v in matching:
                 coll.paths.append([u, v])
                 rem -= {u, v}
@@ -861,19 +854,15 @@ def _expand_virtuals(seq: list[int], coll: PreservedCollection) -> list[int]:
     The twin's stub edge vanishes and the proxy edge becomes the real edge
     of the same color, so the census over real colors is unchanged.
     """
-    seq = list(seq)
-    while True:
-        i = next((k for k, v in enumerate(seq) if v in coll.virtual_real), None)
-        if i is None:
-            return seq
-        real = coll.virtual_real[seq[i]]
-        prev_v = seq[i - 1]
-        next_v = seq[(i + 1) % len(seq)]
-        if real not in (prev_v, next_v):
+    # A twin's stub path [real, twin] only grows at its ends, so each twin
+    # is still next to its real vertex and all of them drop in one pass.
+    real = coll.virtual_real
+    for i, v in enumerate(seq):
+        if v in real and real[v] not in (seq[i - 1], seq[(i + 1) % len(seq)]):
             raise InternalContradiction(
                 "a virtual twin drifted away from its real vertex"
             )
-        del seq[i]
+    return [v for v in seq if v not in real]
 
 
 def find_unique_free_hamilton(

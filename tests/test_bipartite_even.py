@@ -21,7 +21,13 @@ from oddramsey.bipartite_even import (
     find_even_cover,
     find_strongly_even,
 )
-from oddramsey.colored_graph import EdgeColoring, SimpleGraph, edge, parity_census
+from oddramsey.colored_graph import (
+    EdgeColoring,
+    SimpleGraph,
+    _bits,
+    edge,
+    parity_census,
+)
 from oddramsey.constructions import (
     random_coloring,
     random_edge_coloring,
@@ -447,6 +453,23 @@ def test_first_even_mask_is_the_head_of_the_list():
             assert _even_mask_count(chi, u, sp) == len(masks)
             nones += not masks
     assert nones > 0
+
+
+def test_odd_colors_match_the_star_census():
+    rng = random.Random(28)
+    for trial in range(60):
+        n = rng.randrange(4, 30)
+        g = random_min_degree_graph(n, rng.randrange(1, n // 2 + 1), trial)
+        chi = random_edge_coloring(g, rng.randrange(1, 9), trial)
+        v = rng.randrange(n)
+        nbrs = list(g.neighbors(v))
+        side = tuple(rng.sample(nbrs, rng.randint(0, len(nbrs))))
+        odd = bipartite_even._odd_colors(chi, v, side)
+        census = bipartite_even._bipartite_census(chi, (v,), side)
+        assert {b + 1 for b in _bits(odd)} == census.odd_colors
+        missing = [w for w in range(n) if w not in nbrs]  # v itself included
+        with pytest.raises(PreconditionFailed):
+            bipartite_even._odd_colors(chi, v, side + (rng.choice(missing),))
 
 
 def test_parity_hypergraph_support_rules():

@@ -366,6 +366,17 @@ def test_exact_ramsey_witnesses_verify():
                 assert res.witness is None
 
 
+def test_exact_ramsey_rechecks_its_witness(monkeypatch):
+    # With every lane zero no cycle ever closes, so the search answers "yes"
+    # with the all-color-1 coloring, whose 4-cycles are all even-chromatic.
+    monkeypatch.setattr(
+        constructions, "_cycle_lanes",
+        lambda host, width: ([0] * host.edge_count(),) * 2,
+    )
+    with pytest.raises(InternalContradiction, match="odd-chromatic"):
+        exact_ramsey(4, "odd", 2)
+
+
 def test_exact_ramsey_monotone_and_consistent():
     table = {}
     for mode in ("odd", "unique"):
@@ -475,6 +486,7 @@ def test_exact_ramsey_batches_match_the_count_loop_on_cycle_subsets(monkeypatch)
     # which no batch covers.  Some subsets of those cycles, such as cycles 5
     # and 11 of K_5 in unique mode with r = 2, are satisfied only inside a
     # batch, which must then count the nodes up to the leaf that succeeds.
+    # The oracle's witness self-check sees the same subset as its search.
     rng = random.Random(7)
     for n in (5, 6):
         every = list(enumerate_hamilton_cycles(SimpleGraph.complete(n)))
@@ -483,6 +495,12 @@ def test_exact_ramsey_batches_match_the_count_loop_on_cycle_subsets(monkeypatch)
         for cycles in picks:
             monkeypatch.setattr(
                 hamilton, "enumerate_hamilton_cycles", lambda g: iter(cycles)
+            )
+            monkeypatch.setattr(
+                constructions, "verify_every_cycle",
+                lambda chi, p: (all(
+                    constructions._PREDICATES[p](cycle_census(chi, c)) for c in cycles
+                ), None),
             )
             for mode in ("odd", "unique")[n % 2 :]:
                 for r in (2, 3):

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddramsey import unique_finder
 from oddramsey.colored_graph import EdgeColoring, SimpleGraph, edge
 from oddramsey.constructions import (
     random_coloring,
@@ -296,6 +297,93 @@ def test_harvest_prefers_cherry_and_falls_back_to_matching():
         ]
         assert len(inside) <= 1
     assert len(coll.remaining) >= 4 * len(ledger.unused)
+
+
+def _block_pair_coloring(n: int, b: int) -> EdgeColoring:
+    """K_n cut into b blocks of consecutive vertices, one color per pair of
+    blocks (a block paired with itself included)."""
+    host = SimpleGraph.complete(n)
+    pairs = [(i, j) for i in range(b) for j in range(i, b)]
+    return EdgeColoring(host, len(pairs), {
+        e: 1 + pairs.index((e.u * b // n, e.v * b // n)) for e in host.edges()
+    })
+
+
+def _sum_mod_coloring(n: int, r: int) -> EdgeColoring:
+    host = SimpleGraph.complete(n)
+    return EdgeColoring(host, r, {e: 1 + (e.u + e.v) % r for e in host.edges()})
+
+
+def test_harvest_c_edges_without_a_cherry_are_disjoint():
+    # The 2-matching is the first two c-edges inside R: with no cherry, no
+    # vertex of R has two c-edges there, so those edges are pairwise
+    # disjoint.  Replay the harvest from its ledger and check that at every
+    # color it reached.  Palettes past n/4 leave many colors unused here.
+    taken = collections.Counter()
+    for n in (8, 16, 24, 40):
+        cases = [random_coloring(n, r, s)
+                 for r in (n // 4, n // 2, n, 2 * n) for s in range(2)]
+        cases += [_sum_mod_coloring(n, r) for r in (n // 4, n // 2, n - 1, 2 * n - 1)]
+        cases += [_block_pair_coloring(n, b) for b in (2, 3, 5)]
+        for chi in cases:
+            ledger = ColorLedger.fresh(chi.r)
+            coll = resolve_dangerous(chi, max_claw_collection(chi, ledger), ledger)
+            rem, start = set(coll.remaining), len(ledger.history)
+            reached = sorted(ledger.unused & chi.colors_present())
+            try:
+                harvest_cherries_matchings(chi, coll, ledger)
+            except InternalContradiction:
+                pass  # a best-effort palette failed the counts after the loop
+            events = {
+                ev["color"]: ev for ev in ledger.history[start:]
+                if ev["event"] == "free-color" and ev["reason"] != "absent"
+            }
+            for c in reached:
+                ev = events.get(c, {"reason": "kept unused"})
+                taken[ev["reason"]] += 1
+                if ev["reason"] == "cherry":
+                    rem -= set(ev["cherry"])
+                    continue
+                c_edges = [
+                    [u, v] for u, v in combinations(sorted(rem), 2)
+                    if chi.color(u, v) == c
+                ]
+                ends = [x for e in c_edges for x in e]
+                assert len(ends) == len(set(ends)), (c, c_edges)
+                if ev["reason"] == "2-matching":
+                    assert ev["edges"] == c_edges[:2]
+                    rem -= set(ends[:4])
+                else:
+                    assert len(c_edges) <= 1
+    assert min(taken.values()) > 0 and len(taken) == 3, taken
+
+
+def test_twins_sit_next_to_their_real_vertices_before_expansion(monkeypatch):
+    # A twin's stub path [real, twin] only grows at its ends, so in the
+    # closed sequence every twin is still next to its real vertex, also
+    # where a merge joined two twins to each other.
+    expand = unique_finder._expand_virtuals
+    seen = collections.Counter()
+
+    def checked(seq, coll):
+        real = coll.virtual_real
+        for i, v in enumerate(seq):
+            if v in real:
+                around = (seq[i - 1], seq[(i + 1) % len(seq)])
+                assert real[v] in around, (seq, real)
+                seen["twins"] += 1
+                seen["merged"] += around[1] in real
+        return expand(seq, coll)
+
+    monkeypatch.setattr(unique_finder, "_expand_virtuals", checked)
+    for n in (12, 16, 24, 40):
+        cases = [random_coloring(n, r, s)
+                 for r in range(1, n // 4 + 1) for s in range(2)]
+        cases += [mono_coloring(n), _sum_mod_coloring(n, n // 4),
+                  _block_pair_coloring(n, 2)]
+        for chi in cases:
+            find_unique_free_hamilton(chi)
+    assert seen["merged"] > 0 and seen["twins"] > seen["merged"], seen
 
 
 def test_harvest_splits_claws_and_installs_twins():
