@@ -22,9 +22,9 @@ counted from the class sizes before any list is built, the search answers
 A K_{s,t} is even-chromatic iff the odd-supports of its t-side XOR to
 zero, so exhausting all s-tuples in the role of the w's decides existence
 outright at small n; the top-level search only reports ``not_found`` with
-that certificate and says ``unknown`` otherwise.  Odd-supports are palette
-masks (``_odd_colors``), and one k-subset XOR-to-zero search serves both
-the even covers and that sweep.
+that certificate and says ``unknown`` otherwise.  Odd-supports are masks
+with one bit per color met (``_odd_colors``), and one k-subset XOR-to-zero
+search serves both the even covers and that sweep.
 """
 
 from __future__ import annotations
@@ -80,12 +80,16 @@ def _bipartite_census(
     return parity_census(chi, ((a, b) for a in side_a for b in side_b))
 
 
-def _odd_colors(chi: EdgeColoring, v: int, side: Iterable[int]) -> int:
-    """Palette mask of the colors v sees an odd number of times toward
-    ``side``, bit c - 1 for color c; a non-edge raises."""
+def _odd_colors(
+    chi: EdgeColoring, v: int, side: Iterable[int], bits: dict[int, int]
+) -> int:
+    """Mask of the colors v sees an odd number of times toward ``side``; a
+    non-edge raises.  ``bits`` maps each color met so far to its bit, and a
+    new color takes the next one: a mask is as wide as the colors met, and
+    masks that share one map XOR to zero exactly when their colors do."""
     acc = 0
     for w in side:
-        acc ^= 1 << chi.color(v, w) - 1
+        acc ^= bits.setdefault(chi.color(v, w), 1 << len(bits))
     return acc
 
 
@@ -282,7 +286,7 @@ def find_strongly_even(
 
 def _owns(chi: EdgeColoring, v: int, mask: int, side_a: tuple[int, ...]) -> bool:
     """Whether ``mask`` (decoded: ``side_a``) is an even s'-neighborhood of v."""
-    return chi.host.mask(v) & mask == mask and not _odd_colors(chi, v, side_a)
+    return chi.host.mask(v) & mask == mask and not _odd_colors(chi, v, side_a, {})
 
 
 def _window_hit(chi: EdgeColoring, s_prime: int, t_prime: int) -> int | None:
@@ -343,17 +347,20 @@ def build_parity_hypergraph(
     trio = (w1, w2, w3)
     if len(set(trio)) != 3 or set(trio) & set(v2):
         raise PreconditionFailed("w-triple must be distinct and disjoint from V2")
+    bits: dict[int, int] = {}
+    odds = [_odd_colors(chi, u, trio, bits) for u in v2]
+    colors = list(bits)  # bit i stands for colors[i]
     edges = []
-    for u in v2:
-        odd = _odd_colors(chi, u, trio)
+    for u, odd in zip(v2, odds):
         if odd.bit_count() not in (1, 3):
             raise InternalContradiction("odd support of a triple has size 1 or 3")
-        edges.append((u, frozenset(b + 1 for b in _bits(odd))))
+        edges.append((u, frozenset(colors[b] for b in _bits(odd))))
     return ParityHypergraph(chi.r, tuple(edges))
 
 
 def _masks(h: ParityHypergraph) -> list[int]:
-    return [sum(1 << c - 1 for c in sup) for _, sup in h.edges]
+    bits: dict[int, int] = {}  # one bit per color, see _odd_colors
+    return [sum(bits.setdefault(c, 1 << len(bits)) for c in sup) for _, sup in h.edges]
 
 
 _EXHAUSTIVE_CAP = 200_000
@@ -517,9 +524,10 @@ def _sweep_all_tuples(
     per-tuple search is a lexicographic scan and none can run out of budget.
     """
     n = chi.host.n
+    bits: dict[int, int] = {}
     for a_side in combinations(range(n), s):
         rest = [v for v in range(n) if v not in a_side]
-        masks = [_odd_colors(chi, u, a_side) for u in rest]
+        masks = [_odd_colors(chi, u, a_side, bits) for u in rest]
         found = _zero_xor_subset(masks, t)
         if found is not None:
             out = Bipartition(

@@ -264,8 +264,11 @@ def dispatch(args) -> tuple[str, dict]:
                 "palette": chi.r,
                 "events": res.ledger.history,
             }
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(trace, fh, sort_keys=True, indent=1)
+            try:
+                with open(args.trace, "w", encoding="utf-8") as fh:
+                    json.dump(trace, fh, sort_keys=True, indent=1)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.trace}: {exc}") from exc
         freed = [
             ev["color"] for ev in res.ledger.history if ev["event"] == "free-color"
         ]

@@ -10,8 +10,11 @@ worklist of every eligible pair takes over.  One search kernel, an
 iterative depth-first search that lists Hamilton paths in lexicographic
 order, serves the three exhaustive jobs: the path fallback and the cycle
 fallback for the cases the closure alone does not certify (each bounded by
-FALLBACK_NODE_BUDGET), and the canonical cycle enumerator that is the
-oracle for everything else in the test suite.
+FALLBACK_NODE_BUDGET), and the canonical cycle enumerator.  The enumerator
+has two users: the test suite, where it is the oracle for everything else,
+and ``constructions._cycle_lanes``, which builds the exact oracle's
+(``oracle exact``) bit-sliced cycle lanes from it; the benchmark's
+``hamilton.cycles_enumerated`` counts those cycles.
 
 All "find" operations are deterministic: the kernel tries neighbors in
 increasing vertex id, so each fallback returns the lexicographically first

@@ -5,9 +5,10 @@ colors, with dangerous leaves exchanged away; (2) per-color cherry or
 2-matching harvests inside the remaining vertex set, claw splitting, and
 virtual twins for the singletons; (3) path merging across free or paired
 unused endpoint edges; (4) path merging through cherries centered in the
-remaining set; (5) closing through a contracted auxiliary graph.  Colors
-move from ``unused`` to ``free`` only when two occurrences are locked into
-preserved structures, so the final census can never hit exactly one.
+remaining set; (5) closing through a contracted auxiliary graph.  A color
+leaves ``unused`` only when two occurrences are locked into preserved
+structures (or it occurs nowhere), so the final census can never hit
+exactly one.  Every color outside ``unused`` is free.
 
 A vertex is dangerous while it centers a claw in an unused color with all
 leaves inside the remaining set; the pipeline never leaves a dangerous
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, permutations
+from math import comb
 from typing import NamedTuple
 
 from .colored_graph import (
@@ -69,15 +71,15 @@ class _State:
 
 
 class ColorLedger(_State):
-    """Unused/free color sets plus the ordered transition log."""
+    """The unused colors plus the ordered transition log; every other color
+    of the palette is free."""
 
-    __slots__ = ("palette", "unused", "free", "history")
+    __slots__ = ("palette", "unused", "history")
 
     def __init__(self, palette: int, unused: set[int],
-                 free: set[int] | None = None, history: list[dict] | None = None):
+                 history: list[dict] | None = None):
         self.palette = palette
         self.unused = unused
-        self.free = set() if free is None else free
         self.history = [] if history is None else history
 
     @classmethod
@@ -88,7 +90,6 @@ class ColorLedger(_State):
         if color not in self.unused:
             raise InternalContradiction(f"color {color} freed twice")
         self.unused.discard(color)
-        self.free.add(color)
         self.note("free-color", color=color, reason=reason, **info)
 
     def note(self, event: str, **info) -> None:
@@ -96,7 +97,6 @@ class ColorLedger(_State):
 
     def reset_epoch(self, seed_colors: set[int], note: str) -> None:
         self.unused = set(range(1, self.palette + 1)) - seed_colors
-        self.free = set(seed_colors)
         self.history.append({"event": "restart", "note": note})
 
 
@@ -104,36 +104,32 @@ class PreservedCollection(_State):
     """Mutable pipeline state: claws, preserved paths, remaining vertices.
 
     ``paths`` hold vertex lists (2 or more vertices each once the claws are
-    split); ``cherry_centers`` are the remaining-set vertices consumed as
-    merge cherries; virtual twins map through ``virtual_real`` and their
-    stub edges carry ``gadget_colors``.
+    split); a merge cherry's center leaves ``remaining`` for its path;
+    virtual twins map through ``virtual_real`` and all their stub edges
+    carry the one ``gadget_color``.
     """
 
-    __slots__ = ("n", "claws", "paths", "remaining", "cherry_centers",
-                 "virtual_real", "gadget_colors")
+    __slots__ = ("n", "claws", "paths", "remaining", "virtual_real",
+                 "gadget_color")
 
     def __init__(self, n: int, claws: list[Claw] | None = None,
                  paths: list[list[int]] | None = None,
                  remaining: set[int] | None = None,
-                 cherry_centers: set[int] | None = None,
                  virtual_real: dict[int, int] | None = None,
-                 gadget_colors: dict[int, int] | None = None):
+                 gadget_color: int | None = None):
         self.n = n
         self.claws = [] if claws is None else claws
         self.paths = [] if paths is None else paths
         self.remaining = set() if remaining is None else remaining
-        self.cherry_centers = set() if cherry_centers is None else cherry_centers
         self.virtual_real = {} if virtual_real is None else virtual_real
-        self.gadget_colors = {} if gadget_colors is None else gadget_colors
+        self.gadget_color = gadget_color
 
     def color_fn(self, chi: EdgeColoring):
-        vr, gc = self.virtual_real, self.gadget_colors
+        vr, gc = self.virtual_real, self.gadget_color
 
         def col(x: int, y: int) -> int:
-            if vr.get(x) == y:
-                return gc[x]
-            if vr.get(y) == x:
-                return gc[y]
+            if vr.get(x) == y or vr.get(y) == x:
+                return gc
             return chi.color(vr.get(x, x), vr.get(y, y))
 
         return col
@@ -216,18 +212,11 @@ def _greedy_claws(
     coll = PreservedCollection(
         n=n, claws=claws, remaining=set(range(n)) - used
     )
-    bad = next(
-        (
-            v
-            for v in sorted(coll.remaining)
-            if _dangerous_witness(chi, v, coll.remaining, ledger.unused)
-        ),
-        None,
-    )
-    if bad is not None:
-        raise InternalContradiction(
-            f"greedy certificate failed: vertex {bad} is dangerous inside R"
-        )
+    for v in sorted(coll.remaining):
+        if _dangerous_witness(chi, v, coll.remaining, ledger.unused):
+            raise InternalContradiction(
+                f"greedy certificate failed: vertex {v} is dangerous inside R"
+            )
     return coll
 
 
@@ -322,9 +311,7 @@ def _assert_disjoint(coll: PreservedCollection) -> None:
         if seen & vs or len(vs) != len(p):
             raise InternalContradiction("paths overlap preserved structures")
         seen |= vs
-    overlap = seen & coll.remaining
-    # cherry centers live in R by design; nothing else may.
-    if overlap - coll.cherry_centers:
+    if seen & coll.remaining:
         raise InternalContradiction("preserved structures intersect R")
 
 
@@ -394,22 +381,20 @@ def harvest_cherries_matchings(
         raise InternalContradiction("remaining set shrank below four per unused color")
     # Split claws: smallest leaf becomes a singleton (virtual twin attached),
     # the center and the other two leaves a cherry in the claw's color; the
-    # twin's stub takes a free color the host has, never an absent one.
-    free_pool = sorted(ledger.free & present)
-    if coll.claws and not free_pool:
+    # twins' stubs take the smallest free color the host has, never an
+    # absent one.
+    coll.gadget_color = min(present - ledger.unused, default=None)
+    if coll.claws and coll.gadget_color is None:
         raise InternalContradiction("claws exist but no color is free")
-    virtuals = []
     for j, claw in enumerate(coll.claws):
         leaves = sorted(claw.leaves)
         twin = coll.n + j
         coll.virtual_real[twin] = leaves[0]
-        coll.gadget_colors[twin] = free_pool[0]
         coll.paths.append([leaves[0], twin])
         coll.paths.append([leaves[1], claw.center, leaves[2]])
-        virtuals.append((leaves[0], twin))
         ledger.note(
             "claw-split", color=claw.color, singleton=leaves[0], twin=twin,
-            gadget_color=free_pool[0],
+            gadget_color=coll.gadget_color,
         )
     coll.claws = []
     if any(len(p) < 2 for p in coll.paths):
@@ -464,22 +449,12 @@ def merge_endpoints(
     the pass is the first pair a fresh listing would find.  For the same
     reason an endpoint w1 that turns interior stays interior, so every
     later pair of its row would be skipped, and the row stops there.  A
-    pass leaves no free-colored cross pair, and ``unused`` and ``free``
-    partition the palette (twin gadget colors included), so every cross
-    pair rule (ii) sees carries an unused color.  When rule (ii) fires,
+    pass leaves no free-colored cross pair, so every cross pair rule (ii)
+    sees carries an unused color.  When rule (ii) fires,
     the color it frees may open pairs before the pass's position, so the
     pass restarts on a fresh listing.
     """
     col = coll.color_fn(chi)
-
-    def cross_pairs(idx: dict[int, int]) -> list[tuple[int, int]]:
-        eps = sorted(idx)
-        return [
-            (w1, w2)
-            for a, w1 in enumerate(eps)
-            for w2 in eps[a + 1 :]
-            if idx[w1] != idx[w2]
-        ]
 
     def rule_i_pass() -> None:
         idx = _endpoint_index(coll)
@@ -493,14 +468,20 @@ def merge_endpoints(
                 if j is None or i == j:
                     continue
                 c = col(w1, w2)
-                if c in ledger.free:
+                if c not in ledger.unused:
                     _merge_at(coll, w1, w2)
                     ledger.note("endpoint-merge", at=[w1, w2], color=c)
                     idx = _endpoint_index(coll)
 
     def rule_ii() -> bool:
         idx = _endpoint_index(coll)
-        pairs = cross_pairs(idx)
+        eps = sorted(idx)
+        pairs = [
+            (w1, w2)
+            for a, w1 in enumerate(eps)
+            for w2 in eps[a + 1 :]
+            if idx[w1] != idx[w2]
+        ]
         for a, e1 in enumerate(pairs):
             c = col(*e1)
             for e2 in pairs[a + 1 :]:
@@ -545,9 +526,10 @@ def merge_cherries(
 ) -> PreservedCollection:
     """Merge down to two paths through free cherries centered in R."""
     col = coll.color_fn(chi)
-    start_paths = len(coll.paths)
+    unused = ledger.unused
+    before = len(coll.paths) - len(coll.remaining)
     while len(coll.paths) > 2:
-        centers = sorted(coll.remaining - coll.cherry_centers)
+        centers = sorted(coll.remaining)
         found = next(
             (
                 (w1, w2, v)
@@ -555,7 +537,7 @@ def merge_cherries(
                 for w1 in (coll.paths[i][0], coll.paths[i][-1])
                 for w2 in (coll.paths[j][0], coll.paths[j][-1])
                 for v in centers
-                if col(w1, v) in ledger.free and col(w2, v) in ledger.free
+                if col(w1, v) not in unused and col(w2, v) not in unused
             ),
             None,
         )
@@ -567,13 +549,14 @@ def merge_cherries(
         pi = coll.paths[_endpoint_index(coll)[w1]]
         if pi[-1] != w1:
             pi.reverse()
-        # v is off every path (R minus the centers), so it is now an
-        # endpoint of this path alone.
+        # v is off every path (it is in R), so it is now an endpoint of
+        # this path alone.
         pi.append(v)
         _merge_at(coll, v, w2)
-        coll.cherry_centers.add(v)
+        coll.remaining.remove(v)
         ledger.note("cherry-merge", center=v, joins=[w1, w2])
-    if len(coll.cherry_centers) != start_paths - len(coll.paths):
+    # Each merge takes one center out of R and one path off the list.
+    if len(coll.paths) - len(coll.remaining) != before:
         raise InternalContradiction("cherry-center count drifted")
     _assert_disjoint(coll)
     return coll
@@ -605,19 +588,15 @@ def _iter_attachments(col, ws: list[int], pool: list[int], allowed):
 
 
 def _free_pool_graph(
-    chi: EdgeColoring, pool: list[int], free: set[int]
+    chi: EdgeColoring, pool: list[int], unused: set[int]
 ) -> SimpleGraph:
     """The closers' search graph: vertex i stands for ``pool[i]`` (sorted,
-    real vertices), and ij is an edge iff its color is free.
-
-    ``unused`` and ``free`` partition the palette (see
-    :func:`merge_endpoints`), so on pool edges "color in free" is the same
-    test as "color not in unused", or "color not c" with one unused c.
+    real vertices), and ij is an edge iff its color is free (not unused).
     """
     return SimpleGraph(len(pool), [
         (i, j)
         for (i, u), (j, v) in combinations(enumerate(pool), 2)
-        if chi.color(u, v) in free
+        if chi.color(u, v) not in unused
     ])
 
 
@@ -637,9 +616,9 @@ def close_cycle(
     Four attachments thus leave a core of at least four vertices.
     """
     col = coll.color_fn(chi)
-    pool = sorted(coll.remaining - coll.cherry_centers)
-    free = lambda c: c in ledger.free  # noqa: E731
-    graph = _free_pool_graph(chi, pool, ledger.free)
+    pool = sorted(coll.remaining)
+    free = lambda c: c not in ledger.unused  # noqa: E731
+    graph = _free_pool_graph(chi, pool, ledger.unused)
 
     if len(coll.paths) == 1:
         p = coll.paths[0]
@@ -729,7 +708,7 @@ def _close_one_path_one_unused(
     p = coll.paths[0]
     f_c = sum(1 for x, y in zip(p, p[1:]) if col(x, y) == c)
     c_edges = [e for e in combinations(pool, 2) if chi.color(*e) == c]
-    graph = _free_pool_graph(chi, pool, ledger.free)
+    graph = _free_pool_graph(chi, pool, ledger.unused)
     for z_tail, z_head in permutations(pool, 2):
         att = (col(p[-1], z_tail) == c) + (col(p[0], z_head) == c)
         if f_c + att != 1:
@@ -803,7 +782,7 @@ def special_case_single_unused(
     # stand-in vertex wedged between the two far attachments.  The
     # stand-in is f2 contracted to one vertex, so it carries the id f2[0],
     # which no pool vertex has.
-    graph = _free_pool_graph(chi, pool, ledger.free)
+    graph = _free_pool_graph(chi, pool, ledger.unused)
     ids = [*pool, f2[0]]
     for quad in combinations(pool, 4):
         for z_near, z_far, z_m1, z_m2 in (
@@ -841,11 +820,7 @@ def _trivial_close(coll: PreservedCollection) -> list[int]:
     preserved paths, so arbitrary connector edges cannot create a unique
     color.
     """
-    seq: list[int] = []
-    for p in coll.paths:
-        seq.extend(p)
-    seq.extend(sorted(coll.remaining - coll.cherry_centers))
-    return seq
+    return [v for p in coll.paths for v in p] + sorted(coll.remaining)
 
 
 def _expand_virtuals(seq: list[int], coll: PreservedCollection) -> list[int]:
@@ -871,8 +846,9 @@ def find_unique_free_hamilton(
     """Hamilton cycle of the colored complete graph with no unique color.
 
     Guaranteed whenever the palette size is at most n/4; ``best_effort``
-    runs the pipeline beyond that bound and reports whatever happens (the
-    guarantee is then void and internal counting steps may fail).
+    runs the pipeline beyond that bound, up to C(n, 2) colors, and reports
+    whatever happens (the guarantee is then void and internal counting
+    steps may fail).
     """
     host = chi.host
     n = host.n
@@ -883,6 +859,12 @@ def find_unique_free_hamilton(
     if chi.r > n // 4 and not best_effort:
         raise PreconditionFailed(
             f"palette {chi.r} exceeds n/4 = {n // 4}; pass best_effort to try anyway"
+        )
+    # K_n shows at most C(n, 2) colors, and the ledger costs one entry per
+    # color of the palette, so a larger palette is refused before it is built.
+    if chi.r > comb(n, 2):
+        raise PreconditionFailed(
+            f"palette {chi.r} exceeds the C(n, 2) = {comb(n, 2)} edges of K_{n}"
         )
     ledger = ColorLedger.fresh(chi.r)
     coll = max_claw_collection(chi, ledger)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -26,6 +27,7 @@ from oddramsey.colored_graph import (
     SimpleGraph,
     _bits,
     edge,
+    instance_to_json,
     parity_census,
 )
 from oddramsey.constructions import (
@@ -464,12 +466,68 @@ def test_odd_colors_match_the_star_census():
         v = rng.randrange(n)
         nbrs = list(g.neighbors(v))
         side = tuple(rng.sample(nbrs, rng.randint(0, len(nbrs))))
-        odd = bipartite_even._odd_colors(chi, v, side)
+        bits = {}
+        odd = bipartite_even._odd_colors(chi, v, side, bits)
         census = bipartite_even._bipartite_census(chi, (v,), side)
-        assert {b + 1 for b in _bits(odd)} == census.odd_colors
+        # the map holds the colors met, bit i for the i-th first seen
+        assert set(bits) == set(census.counts)
+        assert list(bits.values()) == [1 << i for i in range(len(bits))]
+        colors = list(bits)
+        assert {colors[b] for b in _bits(odd)} == census.odd_colors
         missing = [w for w in range(n) if w not in nbrs]  # v itself included
         with pytest.raises(PreconditionFailed):
-            bipartite_even._odd_colors(chi, v, side + (rng.choice(missing),))
+            bipartite_even._odd_colors(chi, v, side + (rng.choice(missing),), {})
+
+
+def _shifted(chi, by):
+    """``chi`` with every color id raised by ``by``."""
+    return EdgeColoring(chi.host, chi.r + by,
+                        {edge(u, v): c + by for (u, v), c in chi.items()})
+
+
+def test_kst_answers_do_not_depend_on_color_ids(tmp_path, monkeypatch, capsys):
+    # Parity masks take one bit per color met, so colors 1..3 and colors
+    # 10^6 + 1..10^6 + 3 give the same bipartitions and the same stdout up
+    # to the census keys, and no mask is wider than the three colors.
+    # Seed 0 covers through paired supports, seed 4 through the cover's
+    # XOR search, seed 1 only in the s-tuple sweep; (3, 3) is an odd K_{3,3}
+    # the sweep rules out, and even s runs the strongly-even window.
+    from oddramsey.cli import main
+
+    widths = []
+
+    def recording(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            widths.extend(m.bit_length() for m in (out if isinstance(out, list)
+                                                   else [out]))
+            return out
+        return wrapped
+
+    for name in ("_odd_colors", "_masks"):
+        monkeypatch.setattr(bipartite_even, name,
+                            recording(getattr(bipartite_even, name)))
+    shift = 10**6
+    for seed in (0, 1, 4):
+        chi = random_coloring(12, 3, seed)
+        paths = []
+        for label, inst in (("plain", chi), ("shifted", _shifted(chi, shift))):
+            paths.append(tmp_path / f"{label}-{seed}.json")
+            paths[-1].write_text(instance_to_json(inst))
+        for flags in (["--s", "3", "--t", "4", "--t-prime", "5"],
+                      ["--s", "3", "--t", "3", "--t-prime", "4"],
+                      ["--s", "5", "--t", "2", "--t-prime", "3"],
+                      ["--s", "2", "--t", "3"], ["--s", "4", "--t", "3"]):
+            outs = []
+            for path in paths:
+                code = main(["find", "even-kst", "--input", str(path), *flags])
+                outs.append((code, json.loads(capsys.readouterr().out)))
+            (code, plain), (shifted_code, shifted) = outs
+            if "census" in shifted:
+                shifted["census"] = {str(int(c) - shift): k
+                                     for c, k in shifted["census"].items()}
+            assert (shifted_code, shifted) == (code, plain), (seed, flags)
+    assert widths and max(widths) <= 3
 
 
 def test_parity_hypergraph_support_rules():

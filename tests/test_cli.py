@@ -25,7 +25,7 @@ from oddramsey.constructions import (
     splitmix64_next,
 )
 
-from conftest import instance_like, readme_usage_lines
+from conftest import coloring_with, instance_like, readme_usage_lines
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +345,37 @@ def test_best_effort_counting_failure_exits_5(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_trace_path_is_a_usage_error(tmp_path, capsys, where):
+    inst = tmp_path / "i.json"
+    inst.write_text(instance_to_json(random_coloring(8, 2, 0)))
+    trace = tmp_path / "missing" / "t.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "find", "unique-free", "--input",
+                             str(inst), "--trace", str(trace))
+    assert code == USAGE_EXIT == 64
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {trace}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_best_effort_palette_is_capped_at_the_edge_count(tmp_path, capsys):
+    # K_8 has C(8, 2) = 28 edges.  A one-color K_8 declaring 28 colors
+    # frees the 27 absent ones and closes; one color more is refused
+    # before the ledger is built.
+    for r, code, payload in [
+        (28, 0, {"census": {"1": 8}}),
+        (29, 4, {"error": "palette 29 exceeds the C(n, 2) = 28 edges of K_8",
+                 "status": "precondition_failed"}),
+    ]:
+        inst = tmp_path / f"mono8-r{r}.json"
+        inst.write_text(instance_to_json(coloring_with(8, r, {})))
+        got, out, _ = run_cli(capsys, "find", "unique-free", "--input",
+                              str(inst), "--best-effort")
+        assert got == code
+        obj = json.loads(out)
+        assert {k: obj[k] for k in payload} == payload
+
+
 def test_stdout_byte_identical(tmp_path, capsys):
     inst = tmp_path / "i.json"
     inst.write_text(instance_to_json(random_coloring(10, 2, 4)))
@@ -604,6 +635,93 @@ def test_unique_free_360_stdout_and_trace_pinned(tmp_path, capsys):
         "stdout": hashlib.sha256(out.encode()).hexdigest(),
         "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
     } == PINNED_UNIQUE_FREE_360_SHA256
+
+
+# SHA-256 of the stdout and the --trace file of find unique-free on one
+# small instance per closing route the 360 pin does not take, taken while
+# the ledger still kept a free-color set beside ``unused`` and merge
+# cherries kept their centers in a side set of R: (exit code, stdout,
+# trace).  "no-unused" closes by chaining the paths; "cherry-merge" merges
+# three paths through one center of R, then closes by two paths.
+PINNED_UNIQUE_FREE_ROUTES_SHA256 = {
+    "no-unused": (
+        0,
+        "e9b7b5c170c5845cd03b1e22f551280eb4cbc933a7d685737eabbc985fcfa4d0",
+        "b2e6b8f138c1b8b010e51a9d8bae8cb9b7fad3a031d15568af1383fc7d4796f1",
+    ),
+    "single-unused-one-path": (
+        0,
+        "aad90ff0c5f86a70570c1cfe5bb2195d874da247a80670d4f4fb3813a062fadd",
+        "79984e079860aeef42dd813699201eb7b875c016b2e9d839dab84a8292b9a65f",
+    ),
+    "single-unused-hot-edge": (
+        0,
+        "0981ba54413ce2bc48fde6d21fb725e96acbcf56135ccaaebc5d8f36749ecdd8",
+        "83a02690851aa7638900bdf2ae17ff7c94867d478a6a6c98e03e88c045382e55",
+    ),
+    "single-unused-one-path-hot-arc": (
+        0,
+        "ebba9e6a0a217cf17901cee22df9ef67facec73e17e5dedff9fdf43b425bdec0",
+        "4f9ffb029bf66a16a2716462d85c3eae76b735051d1d5c67346b3de21db40fa0",
+    ),
+    "two-paths": (
+        0,
+        "98d7376b56277d0afb1b714bd37b592918b99965b67f4972b11905ad4f336527",
+        "9868614d811c41c2039d745ed8f3f4fd89d1930d0f7f54d6f0303d2c90cfe3e5",
+    ),
+    "single-unused-two-arcs": (
+        0,
+        "c60eba2f96e398c7538cb8764b61cc455118a1e955534eb4fe61d07abada6be4",
+        "f02d79b975f5ad6e884cf1677bc2a351a0e8d35cd0c087aadf51237ccd09e237",
+    ),
+    "cherry-merge": (
+        0,
+        "e7f2bdd7f2680e0fc1b981b90e475dd2871d5cde0eae3b477383b876e18aed1c",
+        "1ab99bad2e3d7511a0058a3abefad3bc84766f685777e3074612ab7a30b113b8",
+    ),
+}
+
+
+def _unique_free_route_instances():
+    """name -> (coloring, close modes in the trace, cherry merges)."""
+    # cherry-merge: vertex 0 centers a color-1 claw on 1, 2, 3, color 10 a
+    # cherry 4-5-6 in R, and the eight cross endpoint edges of the three
+    # paths [4, 5, 6], [1, twin] and [2, 0, 3] carry eight distinct colors
+    # that occur nowhere else, so they stay unused and no endpoint rule fires
+    cross = {(1, 2): 2, (1, 3): 3, (1, 4): 4, (1, 6): 5, (2, 4): 6,
+             (2, 6): 7, (3, 4): 8, (3, 6): 9}
+    return {
+        "no-unused": (random_coloring(8, 2, 0), [], 0),
+        "single-unused-one-path": (
+            random_coloring(8, 2, 49), ["single-unused-one-path"], 0),
+        "single-unused-hot-edge": (
+            random_coloring(8, 2, 55), ["single-unused-hot-edge"], 0),
+        "single-unused-one-path-hot-arc": (
+            random_coloring(8, 2, 176), ["single-unused-one-path-hot-arc"], 0),
+        "two-paths": (coloring_with(12, 3, {(1, 2): 2, (1, 3): 3}),
+                      ["two-paths"], 0),
+        "single-unused-two-arcs": (
+            coloring_with(8, 2, {(1, 2): 2, (1, 3): 2}),
+            ["single-unused-two-arcs"], 0),
+        "cherry-merge": (
+            coloring_with(40, 10, {**cross, (4, 5): 10, (5, 6): 10}),
+            ["two-paths"], 1),
+    }
+
+
+def test_unique_free_closing_routes_stdout_and_trace_pinned(tmp_path, capsys):
+    got = {}
+    for name, (chi, modes, merges) in _unique_free_route_instances().items():
+        instance, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.trace"
+        instance.write_text(instance_to_json(chi))
+        code, out, _ = run_cli(capsys, "find", "unique-free", "--input",
+                               str(instance), "--trace", str(trace))
+        events = json.loads(trace.read_text())["events"]
+        assert [ev["mode"] for ev in events if ev["event"] == "close"] == modes
+        assert sum(ev["event"] == "cherry-merge" for ev in events) == merges
+        got[name] = (code, hashlib.sha256(out.encode()).hexdigest(),
+                     hashlib.sha256(trace.read_bytes()).hexdigest())
+    assert got == PINNED_UNIQUE_FREE_ROUTES_SHA256
 
 
 # SHA-256 of the two n=400 emitters' stdout, taken while they still built

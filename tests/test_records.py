@@ -83,7 +83,7 @@ def test_records_repr_names_class_and_fields():
         "OracleResult(exists=True, witness=None, nodes=0, scheme='s')"
     )
     assert repr(ColorLedger.fresh(1)) == (
-        "ColorLedger(palette=1, unused={1}, free=set(), history=[])"
+        "ColorLedger(palette=1, unused={1}, history=[])"
     )
     assert Miss("unknown", "x") != Miss("not_found", "x")
 
@@ -151,19 +151,17 @@ def test_state_defaults_are_fresh_containers():
     a, b = PreservedCollection(5), PreservedCollection(n=5)
     assert a.n == 5
     assert (a.claws, a.paths, a.remaining) == ([], [], set())
-    assert (a.cherry_centers, a.virtual_real, a.gadget_colors) == (set(), {}, {})
+    assert (a.virtual_real, a.gadget_color) == ({}, None)
     assert a == b
     a.paths.append([0, 1])
     assert b.paths == [] and a != b
     given = {1, 2}
     assert PreservedCollection(3, remaining=given).remaining is given
     ledger, other = ColorLedger.fresh(3), ColorLedger.fresh(3)
-    assert (ledger.palette, ledger.unused, ledger.free, ledger.history) == (
-        3, {1, 2, 3}, set(), [],
-    )
+    assert (ledger.palette, ledger.unused, ledger.history) == (3, {1, 2, 3}, [])
     ledger.free_color(2, "claw", center=0)
-    assert (ledger.unused, ledger.free) == ({1, 3}, {2})
+    assert ledger.unused == {1, 3}
     assert ledger.history == [
         {"event": "free-color", "color": 2, "reason": "claw", "center": 0}
     ]
-    assert (other.free, other.history) == (set(), [])
+    assert (other.unused, other.history) == ({1, 2, 3}, [])

@@ -190,7 +190,7 @@ def _assert_greedy_matches_reference(chi, seed, ledger):
     else:
         assert got == want
     assert ledger.history == ref_ledger.history
-    assert (ledger.unused, ledger.free) == (ref_ledger.unused, ref_ledger.free)
+    assert ledger.unused == ref_ledger.unused
     return got
 
 
@@ -398,7 +398,8 @@ def test_harvest_splits_claws_and_installs_twins():
     twins = set(coll.virtual_real)
     assert twins == {8 + j for j in range(s)}
     assert all(len(p) >= 2 for p in coll.paths)
-    assert all(c in ledger.free for c in coll.gadget_colors.values())
+    assert coll.gadget_color not in ledger.unused
+    assert coll.gadget_color in chi.colors_present()
 
 
 def test_twin_gadget_color_occurs_in_the_host():
@@ -521,7 +522,7 @@ def _reference_merge_fixpoint(chi, coll, ledger):
 
     def rule_i():
         for w1, w2 in cross_pairs():
-            if col(w1, w2) in ledger.free:
+            if col(w1, w2) not in ledger.unused:
                 _merge_at(coll, w1, w2)
                 ledger.note("endpoint-merge", at=[w1, w2], color=col(w1, w2))
                 return True
@@ -566,7 +567,7 @@ def _assert_merge_matches_reference(chi, coll, ledger):
         assert "merge would close" not in str(exc)
     assert coll.paths == ref_coll.paths
     assert ledger.history == ref_ledger.history
-    assert (ledger.unused, ledger.free) == (ref_ledger.unused, ref_ledger.free)
+    assert ledger.unused == ref_ledger.unused
     return ledger.history
 
 
@@ -598,7 +599,7 @@ def test_merge_rule_ii_then_rule_i_through_the_freed_color():
     coll, ledger = _hand_state(24, chi.r, paths, range(12, 24), set(range(2, chi.r + 1)))
     history = _assert_merge_matches_reference(chi, coll, ledger)
     assert _merge_events(history) == [[[1, 2], [5, 6]], [9, 10]]
-    assert len(coll.paths) == 3 and 2 in ledger.free
+    assert len(coll.paths) == 3 and 2 not in ledger.unused
 
 
 def test_merge_with_a_virtual_twin_endpoint():
@@ -611,7 +612,7 @@ def test_merge_with_a_virtual_twin_endpoint():
     )
     coll, ledger = _hand_state(16, chi.r, paths, range(12, 16), set(range(2, chi.r + 1)))
     coll.virtual_real[16] = 0
-    coll.gadget_colors[16] = 1
+    coll.gadget_color = 1
     history = _assert_merge_matches_reference(chi, coll, ledger)
     assert _merge_events(history) == [[0, 2], [[5, 10], [9, 16]]]
 
@@ -654,8 +655,10 @@ def test_merge_cherries_tracks_centers():
     start = len(coll.paths)
     coll = merge_cherries(chi, coll, ledger)
     assert len(coll.paths) == 2
-    assert len(coll.cherry_centers) == start - 2
-    assert coll.cherry_centers <= set(range(6, 18))
+    # each merge moves one center of R onto a path
+    centers = set(range(6, 18)) - coll.remaining
+    assert len(centers) == start - 2
+    assert centers <= {v for p in coll.paths for v in p}
 
 
 def test_merge_cherries_joins_the_far_end_of_the_second_path():
@@ -668,7 +671,7 @@ def test_merge_cherries_joins_the_far_end_of_the_second_path():
     )
     coll = merge_cherries(chi, coll, ledger)
     assert coll.paths == [[1, 0, 6, 3, 2], [4, 5]]
-    assert coll.cherry_centers == {6}
+    assert coll.remaining == set(range(7, 18))
 
 
 def _colors_from(table):
@@ -781,8 +784,8 @@ def _reference_free_subgraph_path(chi, vertices, x, y, banned_colors):
 def _reference_close_cycle(chi, coll, ledger):
     """close_cycle with per-attempt graph building, as before the pool graph."""
     col = coll.color_fn(chi)
-    pool = sorted(coll.remaining - coll.cherry_centers)
-    free = lambda c: c in ledger.free  # noqa: E731
+    pool = sorted(coll.remaining)
+    free = lambda c: c not in ledger.unused  # noqa: E731
     if len(coll.paths) == 1:
         p = coll.paths[0]
         for z_tail, z_head in _iter_attachments(col, [p[-1], p[0]], pool, free):
@@ -805,12 +808,12 @@ def _reference_close_cycle(chi, coll, ledger):
             (i, j)
             for i in range(k)
             for j in range(i + 1, k)
-            if chi.color(core[i], core[j]) in ledger.free
+            if free(chi.color(core[i], core[j]))
         ]
         for i, v in enumerate(core):
-            if chi.color(z1, v) in ledger.free and chi.color(z1p, v) in ledger.free:
+            if free(chi.color(z1, v)) and free(chi.color(z1p, v)):
                 edges.append((i, star1))
-            if chi.color(z2, v) in ledger.free and chi.color(z2p, v) in ledger.free:
+            if free(chi.color(z2, v)) and free(chi.color(z2p, v)):
                 edges.append((i, star2))
         try:
             cyc = dirac_hamilton_cycle(SimpleGraph(k + 2, edges))
@@ -1080,7 +1083,11 @@ def test_ledger_events_are_auditable():
     # every freed color appears once per epoch and carries a reason
     assert all("reason" in ev for ev in freed)
     assert not res.ledger.unused or res.ledger.unused <= set(range(1, 4))
-    assert res.ledger.free | res.ledger.unused == set(range(1, 4))
+    # no restart here, so each color outside unused was freed exactly once
+    assert not any(ev["event"] == "restart" for ev in res.ledger.history)
+    assert sorted(ev["color"] for ev in freed) == sorted(
+        set(range(1, 4)) - res.ledger.unused
+    )
 
 
 @settings(max_examples=60, deadline=None)
